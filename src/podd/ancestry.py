@@ -43,9 +43,12 @@ class ClanStats:
 
 
 def _bits(indices) -> int:
+    """Bitmask of a set of server indices.  Each index is made a Python int
+    first: a shift by a numpy int64 stays a 64-bit int64, so
+    `1 << np.int64(s)` is 0 for every s >= 64."""
     m = 0
     for s in indices:
-        m |= 1 << s
+        m |= 1 << int(s)
     return m
 
 
@@ -176,11 +179,8 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
     counts = gen.poisson(lam * N * horizon, size=n_reps)
     for r in range(n_reps):
         n_arr = int(counts[r])
-        times = np.sort(gen.random(n_arr)) * horizon
-        if n_arr:
-            zetas = _distinct_rows(gen, n_arr, N, D)
-        else:
-            zetas = np.empty((0, D), int)
+        times = (np.sort(gen.random(n_arr)) * horizon).tolist()
+        zetas = _distinct_rows(gen, n_arr, N, D).tolist() if n_arr else []
         a = 1 << i
         b = 1 << j
         gi = 0

@@ -16,11 +16,9 @@ import numpy as np
 
 from .core import (Configuration, Discipline, RngStream, ServerState,
                    ServiceDistribution, as_generator)
-from .engine import (ArrivalEvent, EventLog, Trajectory, _Buffer, _route,
-                     _sample_zeta, _snapshot, _System, run)
+from .engine import (_CHUNK, ArrivalEvent, EventLog, Trajectory, _Buffer,
+                     _route, _sample_zeta, _snapshot, _System, run)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)

@@ -223,13 +223,6 @@ class _System:
         self._schedule(s, t)
         return t, s
 
-    def total_residual(self):
-        return sum(j.residual for js in self.jobs for j in js)
-
-    def to_configuration(self) -> Configuration:
-        return Configuration([ServerState([Job(j.id, max(j.residual, 1e-300), j.arrived_at)
-                                           for j in js]) for js in self.jobs])
-
 
 def _snapshot(lengths, k_max=None):
     top = max(lengths)
@@ -316,12 +309,6 @@ def snapshot(traj: Trajectory, t: float) -> TailCounts:
     if idx.size == 0:
         raise ValueError(f"time {t} is not among the sampled times")
     return traj.snapshots[int(idx[0])]
-
-
-def measure_at(traj: Trajectory, t: float, k: int) -> float:
-    """Fraction of servers at exactly level k at a sampled time."""
-    tc = snapshot(traj, t)
-    return (tc.get(k) - tc.get(k + 1)) / tc.N
 
 
 def sample_arrival_log(N, D, lam, horizon, rng) -> EventLog:

@@ -1,16 +1,20 @@
 """Closed-form arrival rates and correlation bounds for JSQ(D) systems.
 
-Every function here is a pure function of scalar inputs.  The rate formulas
-accept `Fraction` load values and then return exact rationals, which the test
-suite uses as its arbitrary-precision oracle; with floats, the combinatorial
-inner sums are still accumulated exactly in rational arithmetic and rounded
-once at the end.
+Every function here is a pure function of scalar inputs.  Each rate kernel
+reduces its combinatorial sum to one ratio of Python ints P/Q (the 1/i terms
+share the denominator lcm(1..d)), so the rate is lam * P / Q.  A `Fraction`
+load gives that rate exactly, which the test suite uses as its
+arbitrary-precision oracle.  A float load gives lam * float(P/Q): the ratio
+is rounded once to the nearest float and then multiplied by lam, so the
+result is within two roundings (relative error below 2.3e-16) of the exact
+rate at that load.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 RELATIONS = ("below", "equal", "above")
@@ -86,27 +90,37 @@ def selection_sum(d: int, a: int, b: int):
     return total
 
 
+@lru_cache(maxsize=128)
+def _lcm_upto(d: int) -> int:
+    return math.lcm(*range(1, d + 1))
+
+
+def _scaled(lam, p: int, q: int):
+    """lam * p / q for ints p >= 0 and q > 0: one exact `Fraction` for a
+    `Fraction` load, else lam times p/q rounded once to a float."""
+    if isinstance(lam, Fraction):
+        return Fraction(lam.numerator * p, lam.denominator * q)
+    return lam * (p / q)    # int / int is correctly rounded
+
+
 def arrival_rate_hyper(inp: RateInputs):
     """Arrival rate to the tagged server, as the explicit sum over how many of
     the d sampled servers sit at the tagged level (hypergeometric weights)."""
-    n, d, lam = inp.n, inp.d, inp.lam
-    gap = inp.pi_k - inp.pi_k1
-    total = Fraction(0)
+    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
+    gap = inp.pi_k - pi_k1
+    top = _lcm_upto(d)      # sum_i w_i / i = total / top
+    total = 0
     for i in range(1, d + 1):
-        w = comb(gap - 1, i - 1) * comb(inp.pi_k1, d - i)
-        if w:
-            total += Fraction(w, i)
-    value = lam * n * total / comb(n, d)
-    return value if isinstance(lam, Fraction) else float(value)
+        total += comb(gap - 1, i - 1) * comb(pi_k1, d - i) * (top // i)
+    return _scaled(inp.lam, n * total, comb(n, d) * top)
 
 
 def arrival_rate_closed(inp: RateInputs):
     """Same rate via the binomial-difference form, valid for every admissible
     occupancy under the convention C(n, r) = 0 outside 0 <= r <= n."""
-    n, d, lam = inp.n, inp.d, inp.lam
+    n, d = inp.n, inp.d
     num = comb(inp.pi_k, d) - comb(inp.pi_k1, d)
-    value = lam * n * Fraction(num, comb(n, d) * (inp.pi_k - inp.pi_k1))
-    return value if isinstance(lam, Fraction) else float(value)
+    return _scaled(inp.lam, n * num, comb(n, d) * (inp.pi_k - inp.pi_k1))
 
 
 def uniform_rate_bound(d: int, lam):
@@ -114,8 +128,7 @@ def uniform_rate_bound(d: int, lam):
     every system size and occupancy."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    value = lam * Fraction(d**d, math.factorial(d - 1))
-    return value if isinstance(lam, Fraction) else float(value)
+    return _scaled(lam, d**d, math.factorial(d - 1))
 
 
 def monotone_threshold(d: int) -> int:
@@ -137,31 +150,30 @@ def arrival_rate_plus_one(inp: RateInputs, relation: str):
     added when the new server sits strictly above the tagged level or exactly
     at it.  A strictly shorter extra server absorbs every arrival that samples
     it, so it contributes nothing.
+
+    The yellow term is the n-system rate times (n-d+1)/n, and the extra term
+    carries d / C(n, d-1) = (n-d+1) / C(n, d), so with Delta = C(pi_k, d) -
+    C(pi_k1, d), gap g and extra sum E the rate is
+    lam * (n-d+1) * (Delta/g + E) / C(n, d).
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}")
-    n, d, lam = inp.n, inp.d, inp.lam
-    gap = inp.pi_k - inp.pi_k1
-    base = n * Fraction(comb(inp.pi_k, d) - comb(inp.pi_k1, d), comb(n, d) * gap)
-    value = base * Fraction(n - d + 1, n)
+    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
+    gap = inp.pi_k - pi_k1
+    delta = comb(inp.pi_k, d) - comb(pi_k1, d)
+    if relation == "below":
+        return _scaled(inp.lam, (n - d + 1) * delta, comb(n, d) * gap)
+    top = _lcm_upto(d)      # E = extra / top
+    extra = 0
     if relation == "above":
-        extra = Fraction(0)
-        for i in range(1, d + 1):
-            if d - 1 - i < 0:   # convention: binomial vanishes outside range
-                continue
-            w = comb(gap - 1, i - 1) * comb(inp.pi_k1, d - 1 - i)
-            if w:
-                extra += Fraction(w, i)
-        value += d * extra / comb(n, d - 1)
-    elif relation == "equal":
-        extra = Fraction(0)
+        # i = d would need C(pi_k1, -1), which vanishes by convention
+        for i in range(1, d):
+            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
+    else:
         for i in range(2, d + 1):
-            w = comb(gap - 1, i - 2) * comb(inp.pi_k1, d - i)
-            if w:
-                extra += Fraction(w, i)
-        value += d * extra / comb(n, d - 1)
-    value = lam * value
-    return value if isinstance(lam, Fraction) else float(value)
+            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
+    return _scaled(inp.lam, (n - d + 1) * (delta * top + extra * gap),
+                   comb(n, d) * gap * top)
 
 
 def adjusted_plus_one_inputs(inp: RateInputs, relation: str) -> RateInputs:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from podd.ancestry import build_clan, clan_monte_carlo, clan_stats
+from podd.ancestry import _bits, build_clan, clan_monte_carlo, clan_stats
 from podd.core import RngStream
 from podd.engine import ArrivalEvent, EventLog, sample_arrival_log
 from podd.rates import BoundInputs, clan_intersection_bound, clan_size_bound
@@ -96,20 +96,31 @@ class TestClanStats:
             clan_stats(logs, [(2, 2)], [0.5])
 
 
+def assert_mc_matches_logs(n, d, lam, grid, reps, seed):
+    # both samplers target the same law; their means must agree within
+    # combined CI noise
+    mc = clan_monte_carlo(n, d, lam, grid, reps, RngStream(seed).child("mc"))
+    logs = [sample_arrival_log(n, d, lam, grid[-1], RngStream(seed).child("lg", r))
+            for r in range(reps)]
+    ref = clan_stats(logs, [(0, 1)], grid)
+    for i in range(len(grid)):
+        tol = mc.size_ci[i] + ref.size_ci[i]
+        assert abs(mc.mean_size[i] - ref.mean_size[i]) < max(tol, 0.05), grid[i]
+        tol = mc.p_ci[i] + ref.p_ci[i]
+        assert abs(mc.p_intersect[i] - ref.p_intersect[i]) < max(tol, 0.02)
+
+
 class TestClanMonteCarlo:
     def test_agrees_with_log_based_path(self):
-        # both drivers target the same law; their means must agree within
-        # combined CI noise
-        n, d, lam, grid, reps = 20, 2, 0.5, (0.5, 1.0), 800
-        mc = clan_monte_carlo(n, d, lam, grid, reps, RngStream(26).child("mc"))
-        logs = [sample_arrival_log(n, d, lam, grid[-1], RngStream(26).child("lg", r))
-                for r in range(reps)]
-        ref = clan_stats(logs, [(0, 1)], grid)
-        for i in range(len(grid)):
-            tol = mc.size_ci[i] + ref.size_ci[i]
-            assert abs(mc.mean_size[i] - ref.mean_size[i]) < max(tol, 0.05), grid[i]
-            tol = mc.p_ci[i] + ref.p_ci[i]
-            assert abs(mc.p_intersect[i] - ref.p_intersect[i]) < max(tol, 0.02)
+        assert_mc_matches_logs(20, 2, 0.5, (0.5, 1.0), 800, seed=26)
+
+    def test_agrees_with_log_based_path_past_bit_63(self):
+        # a 20-server system never sets a bit past 63, where a shift by a
+        # numpy int64 gives 0 and the server silently leaves the clan
+        assert_mc_matches_logs(100, 3, 0.5, (0.5, 1.0), 800, seed=30)
+
+    def test_bits_of_numpy_row_past_63(self):
+        assert _bits(np.array([3, 100], dtype=np.int64)) == (1 << 3) | (1 << 100)
 
     def test_bounds_hold_small_grid(self):
         n, d, lam = 50, 2, 0.5

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -148,6 +149,52 @@ class TestPlusOneRate:
     def test_bad_relation(self):
         with pytest.raises(ValueError):
             arrival_rate_plus_one(RateInputs(5, 2, 0.5, 3, 1), "sideways")
+
+
+def brute_force_rate(lengths, tagged, d, lam):
+    """Arrival rate to `tagged` by enumeration: lam * len(lengths) arrivals per
+    unit time, each samples a uniform d-subset and joins its shortest queue,
+    ties split uniformly."""
+    n = len(lengths)
+    hit = Fraction(0)
+    for subset in combinations(range(n), d):
+        if tagged not in subset:
+            continue
+        low = min(lengths[s] for s in subset)
+        if lengths[tagged] == low:
+            hit += Fraction(1, sum(lengths[s] == low for s in subset))
+    return lam * n * hit / comb(n, d)
+
+
+def occupancy_lengths(n, pi_k, pi_k1):
+    """Explicit queue lengths for an occupancy at tagged level k = 2, tagged
+    server first; servers off the level sit at mixed heights above or below."""
+    above = [3 + s % 2 for s in range(pi_k1)]
+    below = [s % 2 for s in range(n - pi_k)]
+    return [2] * (pi_k - pi_k1) + above + below
+
+
+class TestBruteForceOracle:
+    # ground truth that shares no formula with the kernels: every d-subset
+    # of an explicit length vector, exact Fractions throughout
+    EXTRA_LENGTH = {"above": 3, "equal": 2, "below": 1}
+
+    def test_kernels_match_enumeration(self):
+        checked = 0
+        for n in range(2, 8):
+            for d in range(1, n + 1):
+                for pi_k in range(1, n + 1):
+                    for pi_k1 in range(pi_k):
+                        inp = RateInputs(n, d, HALF, pi_k, pi_k1)
+                        lengths = occupancy_lengths(n, pi_k, pi_k1)
+                        want = brute_force_rate(lengths, 0, d, HALF)
+                        assert arrival_rate_closed(inp) == want, (n, d, pi_k, pi_k1)
+                        for rel, extra in self.EXTRA_LENGTH.items():
+                            want = brute_force_rate(lengths + [extra], 0, d, HALF)
+                            assert arrival_rate_plus_one(inp, rel) == want, \
+                                (n, d, pi_k, pi_k1, rel)
+                        checked += 1
+        assert checked == sum(n * n * (n + 1) // 2 for n in range(2, 8))
 
 
 class TestMonotoneThreshold:
