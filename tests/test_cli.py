@@ -186,19 +186,74 @@ class TestPinnedDigests:
     """sha256 of CSVs at fixed configs: a change that reorders the RNG stream
     or alters a rate by one ulp shows here, not only in a self-consistency
     check within one checkout.  All N are below 64, so the clan digest also
-    predates the fix for clans past server 63."""
+    predates the fix for clans past server 63.  The event-engine cases cover
+    every discipline, a non-exponential service law, a loaded initial
+    state, the permutation path of candidate sampling (2D >= N), draw
+    buffers crossing a chunk, the cavity's thinning and the coupled pair."""
 
     CASES = [
-        ({"kind": "rates-check", "N": list(range(2, 13)), "D": [1, 2, 3, 4, 5],
-          "lambda": [0.5], "seed": 0}, "rates_check.csv",
-         "436eec83e7fd8cc689d7ce9fd45c58ec2398d3dde02ae42e623b6ff6ab2497c6"),
-        ({"kind": "clan", "N": [10, 50], "D": [2, 3], "lambda": [0.5],
-          "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7}, "clan.csv",
-         "72af74cd7c3205b4369f73846a0e00ebb3fc243c6519eb249d8532b900336cb5"),
+        ("rates-check",
+         {"kind": "rates-check", "N": list(range(2, 13)), "D": [1, 2, 3, 4, 5],
+          "lambda": [0.5], "seed": 0},
+         {"rates_check.csv":
+          "436eec83e7fd8cc689d7ce9fd45c58ec2398d3dde02ae42e623b6ff6ab2497c6"}),
+        ("clan",
+         {"kind": "clan", "N": [10, 50], "D": [2, 3], "lambda": [0.5],
+          "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7},
+         {"clan.csv":
+          "72af74cd7c3205b4369f73846a0e00ebb3fc243c6519eb249d8532b900336cb5"}),
+        ("simulate-ps-hyperexp",
+         {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.9],
+          "horizon": 250.0, "replications": 2, "seed": 21,
+          "service": {"kind": "hyperexponential", "cv2": 4},
+          "discipline": "PS", "record_events": True},
+         {"trajectory.csv":
+          "2ec221aaa69d6b1b66bd010ada3cec09eead1fc67e73eb1265239855884973ea",
+          "events.csv":
+          "0059a9692b8ab40375c52128d6f2d7c8cd863e95f7bf43790b565d463b88d899"}),
+        ("simulate-lifo-erlang-geometric",
+         {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.8],
+          "horizon": 300.0, "replications": 2, "seed": 22,
+          "service": {"kind": "erlang", "shape": 4},
+          "discipline": "LIFO_PR", "init": "geometric"},
+         {"trajectory.csv":
+          "01405cd5e78ed89d084e4d1fde8f175860c7d30175d842314492851ffa4dab82"}),
+        ("simulate-permutation",
+         {"kind": "simulate", "N": [3], "D": [2], "lambda": [0.9],
+          "horizon": 2000.0, "seed": 23, "record_events": True},
+         {"trajectory.csv":
+          "e0c37ad7dec2d55781416eff49fb3a89fc0c9d4b6704cd0924dd37c1cb72dc0e",
+          "events.csv":
+          "e21c36d1fffd349e2e711eba926c39b88d0a9f6d60e6348426d27bf29cfc03bd"}),
+        ("stationary-ps",
+         {"kind": "stationary", "N": [50], "D": [2], "lambda": [0.9],
+          "horizon": 100.0, "warmup": 10.0, "k_max": 6, "seed": 24,
+          "service": {"kind": "hyperexponential", "cv2": 4},
+          "discipline": "PS"},
+         {"stationary.csv":
+          "825f6f1b748e983e4ae850f9c545156227f0b80985fd473827d824131c0c5935"}),
+        ("chaos-ps",
+         {"kind": "chaos", "N": [20], "D": [2], "lambda": [0.5], "t": [1.0],
+          "k": [0, 1, 2], "l": [0, 1], "replications": 50, "seed": 25,
+          "discipline": "PS"},
+         {"chaos.csv":
+          "e132a608dc7427483d94bc391def1027cde76c7d17b3a4e46039423ed19b0747"}),
+        ("tagged-ps",
+         {"kind": "tagged", "N": [20], "D": [2], "lambda": [0.5], "t": [2.0],
+          "replications": 50, "seed": 26, "discipline": "PS"},
+         {"tagged.csv":
+          "8ce904bf45f763da29e9d5dd2816ecbed74cec5fa90b0d9519dc240b45cc8905"}),
+        ("coupled-ps",
+         {"kind": "coupled", "N": [10], "D": [2], "lambda": [0.5],
+          "horizon": 4.0, "replications": 20, "seed": 27, "discipline": "PS"},
+         {"coupled.csv":
+          "e0d2ef7e1ecb0d48624c166d5ff87d24f5a43e589cd3057c132fd4edc8db88df"}),
     ]
 
-    @pytest.mark.parametrize("doc,name,digest", CASES,
-                             ids=[c[0]["kind"] for c in CASES])
-    def test_csv_digest(self, tmp_path, doc, name, digest):
+    @pytest.mark.parametrize("doc,digests", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_csv_digest(self, tmp_path, doc, digests):
         assert run_experiment(parse_config(json.dumps(doc)), str(tmp_path)) == 0
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        for name, digest in digests.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
