@@ -10,6 +10,7 @@ measured directly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,44 +120,46 @@ def run_cavity(D, lam, profile: TailProfile, dist: ServiceDistribution,
         raise ValueError("load must lie in (0, 1)")
     if sample_times is None:
         sample_times = [horizon]
-    samples = np.asarray(sorted(sample_times), dtype=float)
+    samples = np.asarray(sorted(sample_times), dtype=float).tolist()
     gen = as_generator(rng)
     bound = uniform_rate_bound(D, lam)
     sysm = _System(1, disc)
-    ebuf = _Buffer(lambda: gen.standard_exponential(_CHUNK))
-    ubuf = _Buffer(lambda: gen.random(_CHUNK))
-    sbuf = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK)))
+    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
+    unext = _Buffer(lambda: gen.random(_CHUNK)).next
+    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
+    next_departure, depart, arrive = sysm.next_departure, sysm.depart, sysm.arrive
+    lengths = sysm.lengths
 
     snaps, tagged, emitted = [], [], []
-    si, ns = 0, samples.size
-    next_cand = ebuf.next() / bound
+    si, ns = 0, len(samples)
+    next_cand = enext() / bound
     while True:
-        next_dep = sysm.next_departure()
+        next_dep = next_departure()
         nxt = min(next_cand, next_dep)
         cutoff = min(nxt, horizon)
         while si < ns and samples[si] < cutoff:
-            snaps.append(_snapshot(sysm.lengths))
-            tagged.append(sysm.lengths[0])
+            snaps.append(_snapshot(lengths))
+            tagged.append(lengths[0])
             emitted.append(samples[si])
             si += 1
         if nxt > horizon:
             while si < ns and samples[si] <= horizon:
-                snaps.append(_snapshot(sysm.lengths))
-                tagged.append(sysm.lengths[0])
+                snaps.append(_snapshot(lengths))
+                tagged.append(lengths[0])
                 emitted.append(samples[si])
                 si += 1
             break
         if next_dep <= next_cand:
-            sysm.depart()
+            depart()
         else:
             t = next_cand
-            k = sysm.lengths[0]
+            k = lengths[0]
             rate = cavity_rate(D, lam, profile.p(t, k), profile.p(t, k + 1))
-            if ubuf.next() * bound < rate:
-                sysm.arrive(0, t, sbuf.next())
-            next_cand = t + ebuf.next() / bound
+            if unext() * bound < rate:
+                arrive(0, t, snext())
+            next_cand = t + enext() / bound
     return Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
-                      np.asarray(sysm.lengths, dtype=int))
+                      np.asarray(lengths, dtype=int))
 
 
 def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
@@ -179,22 +182,25 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         raise ValueError("initial configuration size does not match N")
     if sample_times is None:
         sample_times = [horizon]
-    samples = np.asarray(sorted(sample_times), dtype=float)
+    samples = np.asarray(sorted(sample_times), dtype=float).tolist()
     gen = as_generator(rng)
 
     rates = {"yellow": lam * (N - D + 1), "red": lam * (D - 1), "blue": lam * D}
     active = [s for s in ("yellow", "red", "blue") if s in enable and rates[s] > 0]
     total = sum(rates[s] for s in active)
-    thresholds = np.cumsum([rates[s] / total for s in active]) if active else None
+    thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
 
     small = _System(N, disc)
     small.load(init)
     large = _System(N + 1, disc)
     large.load(Configuration(list(init.queues) + [ServerState()]))
 
-    ebuf = _Buffer(lambda: gen.standard_exponential(_CHUNK))
-    ubuf = _Buffer(lambda: gen.random(_CHUNK))
-    sbuf = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK)))
+    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
+    unext = _Buffer(lambda: gen.random(_CHUNK)).next
+    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
+    next_dep_s, depart_s, arrive_s = small.next_departure, small.depart, small.arrive
+    next_dep_l, depart_l, arrive_l = large.next_departure, large.depart, large.arrive
+    len_s, len_l = small.lengths, large.lengths
 
     counts = {"yellow": 0, "red": 0, "blue": 0}
     hits_small = 0
@@ -202,76 +208,76 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     arr_small = [] if record_events else None
     arr_large = [] if record_events else None
     sn_s, tg_s, sn_l, tg_l, emitted = [], [], [], [], []
-    si, ns = 0, samples.size
-    next_arr = (ebuf.next() / total) if active else math.inf
+    si, ns = 0, len(samples)
+    next_arr = (enext() / total) if active else math.inf
 
     while True:
-        dep_s = small.next_departure()
-        dep_l = large.next_departure()
+        dep_s = next_dep_s()
+        dep_l = next_dep_l()
         nxt = min(next_arr, dep_s, dep_l)
         cutoff = min(nxt, horizon)
         while si < ns and samples[si] < cutoff:
-            sn_s.append(_snapshot(small.lengths))
-            tg_s.append(small.lengths[0])
-            sn_l.append(_snapshot(large.lengths))
-            tg_l.append(large.lengths[0])
+            sn_s.append(_snapshot(len_s))
+            tg_s.append(len_s[0])
+            sn_l.append(_snapshot(len_l))
+            tg_l.append(len_l[0])
             emitted.append(samples[si])
             si += 1
         if nxt > horizon:
             while si < ns and samples[si] <= horizon:
-                sn_s.append(_snapshot(small.lengths))
-                tg_s.append(small.lengths[0])
-                sn_l.append(_snapshot(large.lengths))
-                tg_l.append(large.lengths[0])
+                sn_s.append(_snapshot(len_s))
+                tg_s.append(len_s[0])
+                sn_l.append(_snapshot(len_l))
+                tg_l.append(len_l[0])
                 emitted.append(samples[si])
                 si += 1
             break
         if dep_s <= nxt and dep_s <= dep_l and dep_s <= next_arr:
-            small.depart()
+            depart_s()
             continue
         if dep_l <= nxt and dep_l <= next_arr:
-            large.depart()
+            depart_l()
             continue
         t = next_arr
-        u = ubuf.next()
-        stream = active[int(np.searchsorted(thresholds, u))] if len(active) > 1 else active[0]
+        u = unext()
+        stream = active[bisect_left(thresholds, u)] if len(active) > 1 else active[0]
         counts[stream] += 1
         if stream == "yellow":
-            zeta = _sample_zeta(gen, ubuf, N, D)
-            s_small = _route(small.lengths, zeta, ubuf)
-            s_large = _route(large.lengths, zeta, ubuf)
-            svc = sbuf.next()
+            zeta = _sample_zeta(gen, unext, N, D)
+            s_small = _route(len_s, zeta, unext)
+            s_large = _route(len_l, zeta, unext)
+            svc = snext()
             svc_small = svc
-            svc_large = svc if s_large == s_small else sbuf.next()
-            small.arrive(s_small, t, svc_small)
-            large.arrive(s_large, t, svc_large)
+            svc_large = svc if s_large == s_small else snext()
+            arrive_s(s_small, t, svc_small)
+            arrive_l(s_large, t, svc_large)
             hits_small += s_small == 0
             hits_large += s_large == 0
             if record_events:
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
         elif stream == "red":
-            zeta = _sample_zeta(gen, ubuf, N, D)
-            s_small = _route(small.lengths, zeta, ubuf)
-            small.arrive(s_small, t, sbuf.next())
+            zeta = _sample_zeta(gen, unext, N, D)
+            s_small = _route(len_s, zeta, unext)
+            arrive_s(s_small, t, snext())
             hits_small += s_small == 0
             if record_events:
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
         else:  # blue: the extra server plus D-1 of the first N
-            rest = _sample_zeta(gen, ubuf, N, D - 1) if D > 1 else ()
+            rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
             zeta = rest + (N,)
-            s_large = _route(large.lengths, zeta, ubuf)
-            large.arrive(s_large, t, sbuf.next())
+            s_large = _route(len_l, zeta, unext)
+            arrive_l(s_large, t, snext())
             hits_large += s_large == 0
             if record_events:
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
-        next_arr = t + ebuf.next() / total
+        next_arr = t + enext() / total
 
     times = np.asarray(emitted)
     traj_s = Trajectory(times, sn_s, np.asarray(tg_s, dtype=int),
-                        np.asarray(small.lengths, dtype=int))
+                        np.asarray(len_s, dtype=int))
     traj_l = Trajectory(times.copy(), sn_l, np.asarray(tg_l, dtype=int),
-                        np.asarray(large.lengths, dtype=int))
+                        np.asarray(len_l, dtype=int))
     log_s = (EventLog(horizon, N, D, arr_small, None, len(arr_small))
              if record_events else None)
     log_l = (EventLog(horizon, N + 1, D, arr_large, None, len(arr_large))

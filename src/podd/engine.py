@@ -7,17 +7,17 @@ discipline on exact residual work; there is no time discretization anywhere.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
-from .core import (Configuration, Discipline, Job, RngStream, ServerState,
-                   ServiceDistribution, TailCounts, as_generator,
-                   tail_counts_from_lengths)
+from .core import (Configuration, Discipline, ServerState, ServiceDistribution,
+                   TailCounts, as_generator, tail_counts_from_lengths)
 
 _CHUNK = 4096
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -51,40 +51,44 @@ class Trajectory:
     final_lengths: np.ndarray | None = None
 
 
-class _Buffer:
-    """Chunked scalar draws from a Generator.  Amortizes per-call overhead in
-    the event loop while keeping the draw sequence deterministic."""
+def _windows(fill, chunk):
+    while True:
+        for i in range(0, len(chunk), _WINDOW):
+            yield from chunk[i:i + _WINDOW].tolist()
+        chunk = fill()
 
-    __slots__ = ("_fill", "_buf", "_i")
+
+class _Buffer:
+    """Chunked scalar draws from a Generator, handed out as Python floats by
+    `next()`.
+
+    The first chunk is drawn at construction and each later one by the first
+    `next()` after the previous is used up, so the order of draws from the
+    Generator is fixed.  A chunk is converted to Python floats `_WINDOW`
+    values at a time: a short run never converts draws it does not use.
+    """
+
+    __slots__ = ("next",)
 
     def __init__(self, fill):
-        self._fill = fill
-        self._buf = fill()
-        self._i = 0
-
-    def next(self):
-        if self._i >= len(self._buf):
-            self._buf = self._fill()
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+        self.next = _windows(fill, fill()).__next__
 
 
-def _sample_zeta(gen, ubuf, n, d):
+def _sample_zeta(gen, u, n, d):
+    """D distinct servers out of n; `u` returns the next uniform draw."""
     if d == 1:
-        return (int(ubuf.next() * n),)
+        return (int(u() * n),)
     if 2 * d >= n:
         return tuple(int(v) for v in gen.permutation(n)[:d])
     out = []
     while len(out) < d:
-        c = int(ubuf.next() * n)
+        c = int(u() * n)
         if c not in out:
             out.append(c)
     return tuple(out)
 
 
-def _route(lengths, zeta, ubuf):
+def _route(lengths, zeta, u):
     best = None
     ties = None
     for s in zeta:
@@ -96,7 +100,7 @@ def _route(lengths, zeta, ubuf):
             ties.append(s)
     if len(ties) == 1:
         return ties[0]
-    return ties[int(ubuf.next() * len(ties))]
+    return ties[int(u() * len(ties))]
 
 
 def jsq_route(config: Configuration, zeta, rng) -> int:
@@ -104,7 +108,7 @@ def jsq_route(config: Configuration, zeta, rng) -> int:
     gen = as_generator(rng)
     lengths = config.lengths()
     ubuf = _Buffer(lambda: gen.random(8))
-    return _route(lengths, tuple(zeta), ubuf)
+    return _route(lengths, tuple(zeta), ubuf.next)
 
 
 def allocate_service(disc: Discipline, server: ServerState) -> np.ndarray:
@@ -126,17 +130,17 @@ def allocate_service(disc: Discipline, server: ServerState) -> np.ndarray:
 class _System:
     """Mutable queue state of one system plus its departure schedule.
 
-    Jobs carry residual work; `touch` advances a server's residuals to the
-    current time under the discipline's rate allocation, and the departure
-    heap uses per-server version counters to drop schedules invalidated by
-    preemption or share changes.
+    Each server holds its jobs' residual work as a list of Python floats in
+    arrival order; `arrive` rejects a residual that is not positive.  `touch`
+    advances a server's residuals to the current time under the
+    discipline's rate allocation, and the departure heap uses per-server
+    version counters to drop schedules invalidated by preemption or share
+    changes.
     """
 
-    __slots__ = ("n", "kind", "lengths", "jobs", "last", "ver", "heap",
-                 "seq", "next_id")
+    __slots__ = ("kind", "lengths", "jobs", "last", "ver", "heap", "seq")
 
     def __init__(self, n, discipline: Discipline):
-        self.n = n
         self.kind = discipline.kind
         self.lengths = [0] * n
         self.jobs = [[] for _ in range(n)]
@@ -144,56 +148,56 @@ class _System:
         self.ver = [0] * n
         self.heap = []
         self.seq = 0
-        self.next_id = 0
 
     def load(self, config: Configuration):
         for s, q in enumerate(config.queues):
-            for job in q.jobs:
-                self.jobs[s].append(Job(self.next_id, job.residual, job.arrived_at))
-                self.next_id += 1
-            self.lengths[s] = len(self.jobs[s])
-            if self.jobs[s]:
+            js = self.jobs[s]
+            js.extend(job.residual for job in q.jobs)
+            self.lengths[s] = len(js)
+            if js:
                 self._schedule(s, 0.0)
 
     def touch(self, s, t):
-        dt = t - self.last[s]
-        self.last[s] = t
+        last = self.last
+        dt = t - last[s]
+        last[s] = t
         if dt <= 0.0:
             return
         js = self.jobs[s]
         if not js:
             return
-        if self.kind == "FIFO":
-            js[0].residual -= dt
-        elif self.kind == "PS":
+        kind = self.kind
+        if kind == "FIFO":
+            js[0] -= dt
+        elif kind == "PS":
             dec = dt / len(js)
-            for j in js:
-                j.residual -= dec
+            self.jobs[s] = [r - dec for r in js]
         else:
-            js[-1].residual -= dt
-
-    def _time_to_departure(self, s):
-        js = self.jobs[s]
-        if self.kind == "FIFO":
-            return js[0].residual
-        if self.kind == "PS":
-            return len(js) * min(j.residual for j in js)
-        return js[-1].residual
+            js[-1] -= dt
 
     def _schedule(self, s, t):
-        if not self.jobs[s]:
+        js = self.jobs[s]
+        if not js:
             return
-        self.seq += 1
-        heapq.heappush(self.heap,
-                       (t + max(self._time_to_departure(s), 0.0), s, self.seq, self.ver[s]))
+        kind = self.kind
+        if kind == "FIFO":
+            due = js[0]
+        elif kind == "PS":
+            due = len(js) * min(js)
+        else:
+            due = js[-1]
+        self.seq = seq = self.seq + 1
+        heappush(self.heap, (t + max(due, 0.0), s, seq, self.ver[s]))
 
     def arrive(self, s, t, residual):
+        if residual <= 0:
+            raise ValueError("job residual must be positive")
         self.touch(s, t)
-        self.jobs[s].append(Job(self.next_id, residual, t))
-        self.next_id += 1
-        self.lengths[s] += 1
+        self.jobs[s].append(residual)
+        lengths = self.lengths
+        lengths[s] += 1
         if self.kind == "FIFO":
-            if self.lengths[s] == 1:
+            if lengths[s] == 1:
                 self._schedule(s, t)
         else:
             self.ver[s] += 1
@@ -201,20 +205,22 @@ class _System:
 
     def next_departure(self):
         heap = self.heap
-        while heap and heap[0][3] != self.ver[heap[0][1]]:
-            heapq.heappop(heap)
+        ver = self.ver
+        while heap and heap[0][3] != ver[heap[0][1]]:
+            heappop(heap)
         return heap[0][0] if heap else math.inf
 
     def depart(self):
-        self.next_departure()   # drop stale schedules first
-        t, s, _, _ = heapq.heappop(self.heap)
+        heap, ver = self.heap, self.ver
+        while heap[0][3] != ver[heap[0][1]]:   # drop stale schedules first
+            heappop(heap)
+        t, s, _, _ = heappop(heap)
         self.touch(s, t)
         js = self.jobs[s]
         if self.kind == "FIFO":
             js.pop(0)
         elif self.kind == "PS":
-            idx = min(range(len(js)), key=lambda i: js[i].residual)
-            js.pop(idx)
+            js.pop(js.index(min(js)))
         else:
             js.pop()
         self.lengths[s] -= 1
@@ -224,9 +230,8 @@ class _System:
         return t, s
 
 
-def _snapshot(lengths, k_max=None):
-    top = max(lengths)
-    return tail_counts_from_lengths(lengths, k_max if k_max is not None else max(top, 1))
+def _snapshot(lengths):
+    return tail_counts_from_lengths(lengths, max(max(lengths), 1))
 
 
 def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
@@ -250,54 +255,57 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     samples = np.asarray(sorted(sample_times), dtype=float)
     if samples.size and not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
+    samples = samples.tolist()
 
     gen = as_generator(rng)
     sysm = _System(N, disc)
     sysm.load(init)
-    ebuf = _Buffer(lambda: gen.standard_exponential(_CHUNK))
-    ubuf = _Buffer(lambda: gen.random(_CHUNK))
-    sbuf = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK)))
+    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
+    unext = _Buffer(lambda: gen.random(_CHUNK)).next
+    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
+    next_departure, depart, arrive = sysm.next_departure, sysm.depart, sysm.arrive
+    lengths = sysm.lengths
 
     total_rate = lam * N
     arrivals = []
     departures = [] if record_departures else None
     n_arr = 0
     snaps, tagged, emitted = [], [], []
-    si, ns = 0, samples.size
-    next_arr = ebuf.next() / total_rate
+    si, ns = 0, len(samples)
+    next_arr = enext() / total_rate
 
     while True:
-        next_dep = sysm.next_departure()
+        next_dep = next_departure()
         nxt = next_arr if next_arr < next_dep else next_dep
         cutoff = min(nxt, horizon)
         while si < ns and samples[si] < cutoff:
-            snaps.append(_snapshot(sysm.lengths))
-            tagged.append(sysm.lengths[0])
+            snaps.append(_snapshot(lengths))
+            tagged.append(lengths[0])
             emitted.append(samples[si])
             si += 1
         if nxt > horizon:
             while si < ns and samples[si] <= horizon:
-                snaps.append(_snapshot(sysm.lengths))
-                tagged.append(sysm.lengths[0])
+                snaps.append(_snapshot(lengths))
+                tagged.append(lengths[0])
                 emitted.append(samples[si])
                 si += 1
             break
         if next_dep <= next_arr:  # ties resolve departure-before-arrival
-            t, s = sysm.depart()
+            t, s = depart()
             if departures is not None:
                 departures.append((t, s))
         else:
             t = next_arr
-            zeta = _sample_zeta(gen, ubuf, N, D)
-            s = _route(sysm.lengths, zeta, ubuf)
-            sysm.arrive(s, t, sbuf.next())
+            zeta = _sample_zeta(gen, unext, N, D)
+            s = _route(lengths, zeta, unext)
+            arrive(s, t, snext())
             n_arr += 1
             if record_events:
                 arrivals.append(ArrivalEvent(t, zeta, s))
-            next_arr = t + ebuf.next() / total_rate
+            next_arr = t + enext() / total_rate
 
     traj = Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
-                      np.asarray(sysm.lengths, dtype=int))
+                      np.asarray(lengths, dtype=int))
     log = EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log
@@ -317,8 +325,8 @@ def sample_arrival_log(N, D, lam, horizon, rng) -> EventLog:
     gen = as_generator(rng)
     n_arr = gen.poisson(lam * N * horizon)
     times = np.sort(gen.random(n_arr)) * horizon
-    ubuf = _Buffer(lambda: gen.random(_CHUNK))
-    arrivals = [ArrivalEvent(float(times[i]), _sample_zeta(gen, ubuf, N, D), None)
+    unext = _Buffer(lambda: gen.random(_CHUNK)).next
+    arrivals = [ArrivalEvent(float(times[i]), _sample_zeta(gen, unext, N, D), None)
                 for i in range(n_arr)]
     return EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
                     n_arrivals=int(n_arr))

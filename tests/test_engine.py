@@ -5,8 +5,8 @@ import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServerState, ServiceDistribution, tail_counts)
-from podd.engine import (allocate_service, jsq_route, run, sample_arrival_log,
-                         snapshot, _System)
+from podd.engine import (_CHUNK, allocate_service, jsq_route, run,
+                         sample_arrival_log, snapshot, _Buffer, _System)
 from podd.rates import RateInputs, arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
@@ -34,6 +34,17 @@ class TestRouting:
         hits = sum(jsq_route(cfg, (0, 1), gen) for _ in range(n))
         # fair coin: 3 sigma band around n/2
         assert abs(hits - n / 2) < 3 * math.sqrt(n / 4)
+
+
+class TestBuffer:
+    def test_same_draws_as_generator_in_python_floats(self):
+        gen = RngStream(16).child("buf").generator()
+        ref = RngStream(16).child("buf").generator()
+        buf = _Buffer(lambda: gen.random(_CHUNK))
+        got = [buf.next() for _ in range(2 * _CHUNK + 3)]
+        want = np.concatenate([ref.random(_CHUNK) for _ in range(3)])
+        assert got == want[: len(got)].tolist()
+        assert all(type(v) is float for v in got)
 
 
 class TestAllocateService:
@@ -79,6 +90,11 @@ class TestDepartureTiming:
         s = self._loaded(LIFO_PR)
         assert s.depart()[0] == pytest.approx(1.0)
         assert s.depart()[0] == pytest.approx(1.4)
+
+    def test_nonpositive_residual_rejected(self):
+        for residual in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                _System(1, FIFO).arrive(0, 0.0, residual)
 
 
 class TestRun:
