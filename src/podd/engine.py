@@ -158,18 +158,16 @@ class _System:
                 self._schedule(s, 0.0)
 
     def touch(self, s, t):
-        last = self.last
-        dt = t - last[s]
-        last[s] = t
+        dt = t - self.last[s]
+        self.last[s] = t
         if dt <= 0.0:
             return
         js = self.jobs[s]
         if not js:
             return
-        kind = self.kind
-        if kind == "FIFO":
+        if self.kind == "FIFO":
             js[0] -= dt
-        elif kind == "PS":
+        elif self.kind == "PS":
             dec = dt / len(js)
             self.jobs[s] = [r - dec for r in js]
         else:
@@ -179,25 +177,23 @@ class _System:
         js = self.jobs[s]
         if not js:
             return
-        kind = self.kind
-        if kind == "FIFO":
+        if self.kind == "FIFO":
             due = js[0]
-        elif kind == "PS":
+        elif self.kind == "PS":
             due = len(js) * min(js)
         else:
             due = js[-1]
-        self.seq = seq = self.seq + 1
-        heappush(self.heap, (t + max(due, 0.0), s, seq, self.ver[s]))
+        self.seq += 1
+        heappush(self.heap, (t + max(due, 0.0), s, self.seq, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
             raise ValueError("job residual must be positive")
         self.touch(s, t)
         self.jobs[s].append(residual)
-        lengths = self.lengths
-        lengths[s] += 1
+        self.lengths[s] += 1
         if self.kind == "FIFO":
-            if lengths[s] == 1:
+            if self.lengths[s] == 1:
                 self._schedule(s, t)
         else:
             self.ver[s] += 1
@@ -205,16 +201,13 @@ class _System:
 
     def next_departure(self):
         heap = self.heap
-        ver = self.ver
-        while heap and heap[0][3] != ver[heap[0][1]]:
+        while heap and heap[0][3] != self.ver[heap[0][1]]:
             heappop(heap)
         return heap[0][0] if heap else math.inf
 
     def depart(self):
-        heap, ver = self.heap, self.ver
-        while heap[0][3] != ver[heap[0][1]]:   # drop stale schedules first
-            heappop(heap)
-        t, s, _, _ = heappop(heap)
+        self.next_departure()   # drop stale schedules first
+        t, s, _, _ = heappop(self.heap)
         self.touch(s, t)
         js = self.jobs[s]
         if self.kind == "FIFO":
