@@ -150,11 +150,11 @@ class _System:
         self.seq = 0
 
     def load(self, config: Configuration):
+        """Queue the jobs of `config` on this empty system at time 0."""
         for s, q in enumerate(config.queues):
-            js = self.jobs[s]
-            js.extend(job.residual for job in q.jobs)
-            self.lengths[s] = len(js)
-            if js:
+            if q.jobs:
+                self.jobs[s] = [job.residual for job in q.jobs]
+                self.lengths[s] = len(q.jobs)
                 self._schedule(s, 0.0)
 
     def touch(self, s, t):
