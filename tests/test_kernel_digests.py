@@ -1,0 +1,134 @@
+"""sha256 of the event kernel's return objects at fixed inputs.
+
+The CSV pins in `test_cli.py` see only what the subcommands write.  These
+cover what no CSV keeps: departure logs of `run`, both trajectories and
+both arrival logs of the coupled pair over several sample times (including
+simultaneous departures under deterministic service), and a cavity
+trajectory driven by an empirical profile.  Every float is hashed through
+its exact `repr`, and every array with its dtype.
+"""
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from podd.cavity import mean_field_profile, run_cavity, run_coupled
+from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
+                       ServiceDistribution)
+from podd.engine import run
+
+EXP = ServiceDistribution.exponential()
+DET = ServiceDistribution.deterministic()
+ERL4 = ServiceDistribution.erlang(4)
+HYP = ServiceDistribution.hyperexponential_cv2(4.0)
+
+
+def canon(x):
+    """A nested tuple of Python scalars that determines `x` exactly."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", x.dtype.str, x.shape, x.tolist())
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,
+                tuple((f.name, canon(getattr(x, f.name)))
+                      for f in dataclasses.fields(x)))
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, tuple(canon(v) for v in x))
+    if isinstance(x, dict):
+        return ("dict", tuple((k, canon(v)) for k, v in x.items()))
+    return x
+
+
+def digest(x):
+    return hashlib.sha256(repr(canon(x)).encode()).hexdigest()
+
+
+def all_at_2(n, dist, seed):
+    return Configuration.from_lengths([2] * n, dist, RngStream(seed).child("init"))
+
+
+def geometric(n, lam, dist, seed):
+    gen = RngStream(seed).child("init-lengths").generator()
+    lengths = gen.geometric(1.0 - lam, size=n) - 1
+    return Configuration.from_lengths([int(v) for v in lengths], dist,
+                                      RngStream(seed).child("init"))
+
+
+def _run_ps_erlang():
+    return run(12, 3, 0.8, ERL4, PS, geometric(12, 0.8, ERL4, 1), 40.0,
+               np.linspace(0.0, 40.0, 21), RngStream(41).child("run"),
+               record_departures=True)
+
+
+def _run_fifo_det():
+    # unit jobs two deep everywhere: every server departs at t = 1 and 2
+    return run(6, 2, 0.7, DET, FIFO, all_at_2(6, DET, 2), 12.0,
+               [0.0, 1.0, 1.0, 2.0, 6.5, 12.0, 13.0],
+               RngStream(42).child("run"), record_departures=True)
+
+
+def _run_lifo_permutation():
+    return run(4, 3, 0.9, HYP, LIFO_PR, Configuration.empty(4), 30.0,
+               np.linspace(0.0, 30.0, 7), RngStream(43).child("run"),
+               record_departures=True)
+
+
+def _coupled_erlang_geometric():
+    return run_coupled(10, 2, 0.8, ERL4, PS, geometric(10, 0.8, ERL4, 3), 30.0,
+                       RngStream(44).child("pair"),
+                       sample_times=np.linspace(0.0, 30.0, 16),
+                       record_events=True)
+
+
+def _coupled_det_all_at_2():
+    return run_coupled(8, 3, 0.7, DET, FIFO, all_at_2(8, DET, 4), 15.0,
+                       RngStream(45).child("pair"),
+                       sample_times=[0.0, 1.0, 2.0, 2.0, 7.5, 15.0, 16.0],
+                       record_events=True)
+
+
+def _coupled_lifo_d1():
+    return run_coupled(5, 1, 0.6, ERL4, LIFO_PR, all_at_2(5, ERL4, 5), 20.0,
+                       RngStream(46).child("pair"),
+                       sample_times=np.linspace(0.0, 20.0, 9),
+                       enable=("yellow", "blue"), record_events=True)
+
+
+def _cavity_empirical():
+    profile = mean_field_profile(20, 2, 0.7, ERL4, PS, 10.0, 3, 6,
+                                 RngStream(47).child("profile"), k_max=8)
+    traj = run_cavity(2, 0.7, profile, ERL4, PS, 30.0,
+                      RngStream(47).child("cavity"),
+                      sample_times=np.linspace(0.0, 30.0, 31))
+    return profile, traj
+
+
+CASES = {
+    "run-ps-erlang-geometric":
+        (_run_ps_erlang,
+         "4b54e995523e5066ea66fa44ba04a55cad75cd469828f95b5d22c01476711d21"),
+    "run-fifo-det-all-at-2":
+        (_run_fifo_det,
+         "edcdf56f345cffbd0bdf98f387b0b0940bf601699235f87c3a5f8ff23f166500"),
+    "run-lifo-hyperexp-permutation":
+        (_run_lifo_permutation,
+         "1745352532033e725d8be5fbf0b794b107c20f24a18c2219923032edcbe86ea9"),
+    "coupled-ps-erlang-geometric":
+        (_coupled_erlang_geometric,
+         "ee9babcd3ff96018d51a76cbba93dc5f9283bdd2f74c9e3329530e2e479e34bf"),
+    "coupled-fifo-det-all-at-2":
+        (_coupled_det_all_at_2,
+         "0d396c9e368936f90b9192a082c0ee568eff8452d5291fff0a8c266b096a6a95"),
+    "coupled-lifo-d1-yellow-blue":
+        (_coupled_lifo_d1,
+         "c10e48d8058ae550f101b28b037e732927abdca317004f4c307f30c82d1dc5af"),
+    "cavity-empirical-profile":
+        (_cavity_empirical,
+         "4fab653ab9e0b8fd8c3d4ebce5c986b7717c41a434219e37e0d5d7ac8e2511b6"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_kernel_output_digest(name):
+    make, want = CASES[name]
+    assert digest(make()) == want
