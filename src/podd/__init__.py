@@ -12,8 +12,8 @@ from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
                     chaos_bound_limit, clan_intersection_bound,
                     clan_size_bound, monotone_threshold, selection_sum,
                     tail_count_cov_bound, uniform_rate_bound)
-from .engine import (ArrivalEvent, EventLog, Trajectory, allocate_service,
-                     jsq_route, run, sample_arrival_log, snapshot)
+from .engine import (ArrivalEvent, EventLog, Trajectory, jsq_route, run,
+                     sample_arrival_log, snapshot)
 from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo, clan_stats
 from .cavity import (CoupledPair, TailProfile, level_distribution,
                      mean_field_profile, run_cavity, run_coupled, tv_distance)

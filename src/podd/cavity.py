@@ -9,7 +9,6 @@ measured directly.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from .core import (Configuration, Discipline, RngStream, ServerState,
                    ServiceDistribution, as_generator)
-from .engine import (_CHUNK, ArrivalEvent, EventLog, Trajectory, _Buffer,
-                     _route, _sample_zeta, _snapshot, _System, run)
+from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers, _drive,
+                     _route, _sample_zeta, _System, run)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
 
 
@@ -120,46 +119,21 @@ def run_cavity(D, lam, profile: TailProfile, dist: ServiceDistribution,
         raise ValueError("load must lie in (0, 1)")
     if sample_times is None:
         sample_times = [horizon]
-    samples = np.asarray(sorted(sample_times), dtype=float).tolist()
     gen = as_generator(rng)
     bound = uniform_rate_bound(D, lam)
     sysm = _System(1, disc)
-    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
-    unext = _Buffer(lambda: gen.random(_CHUNK)).next
-    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
-    next_departure, depart, arrive = sysm.next_departure, sysm.depart, sysm.arrive
-    lengths = sysm.lengths
+    enext, unext, snext = _buffers(gen, dist)
+    arrive, lengths = sysm.arrive, sysm.lengths
 
-    snaps, tagged, emitted = [], [], []
-    si, ns = 0, len(samples)
-    next_cand = enext() / bound
-    while True:
-        next_dep = next_departure()
-        nxt = min(next_cand, next_dep)
-        cutoff = min(nxt, horizon)
-        while si < ns and samples[si] < cutoff:
-            snaps.append(_snapshot(lengths))
-            tagged.append(lengths[0])
-            emitted.append(samples[si])
-            si += 1
-        if nxt > horizon:
-            while si < ns and samples[si] <= horizon:
-                snaps.append(_snapshot(lengths))
-                tagged.append(lengths[0])
-                emitted.append(samples[si])
-                si += 1
-            break
-        if next_dep <= next_cand:
-            depart()
-        else:
-            t = next_cand
-            k = lengths[0]
-            rate = cavity_rate(D, lam, profile.p(t, k), profile.p(t, k + 1))
-            if unext() * bound < rate:
-                arrive(0, t, snext())
-            next_cand = t + enext() / bound
-    return Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
-                      np.asarray(lengths, dtype=int))
+    def on_candidate(t):
+        k = lengths[0]
+        rate = cavity_rate(D, lam, profile.p(t, k), profile.p(t, k + 1))
+        if unext() * bound < rate:
+            arrive(0, t, snext())
+
+    traj, = _drive(sysm, horizon, sample_times, [(0, 1)], bound, enext,
+                   on_candidate)
+    return traj
 
 
 def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
@@ -175,14 +149,20 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     born of a shared arrival that lands on the same server index in both
     systems also share their service requirement.  `enable` exists for
     testing: disabled streams emit nothing.
+
+    Both systems live in one kernel of 2N+1 servers: 0..N-1 are the small
+    system and N..2N the large one (server N+i is the large system's server
+    i, and 2N its extra server), so one heap orders all departures and, on a
+    tie, the small system's go first.
     """
+    if not 0 < lam < 1:
+        raise ValueError("load must lie in (0, 1)")
     if D < 1 or N < D:
         raise ValueError("need 1 <= D <= N")
     if init.N != N:
         raise ValueError("initial configuration size does not match N")
     if sample_times is None:
         sample_times = [horizon]
-    samples = np.asarray(sorted(sample_times), dtype=float).tolist()
     gen = as_generator(rng)
 
     rates = {"yellow": lam * (N - D + 1), "red": lam * (D - 1), "blue": lam * D}
@@ -190,100 +170,55 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     total = sum(rates[s] for s in active)
     thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
 
-    small = _System(N, disc)
-    small.load(init)
-    large = _System(N + 1, disc)
-    large.load(Configuration(list(init.queues) + [ServerState()]))
-
-    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
-    unext = _Buffer(lambda: gen.random(_CHUNK)).next
-    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
-    next_dep_s, depart_s, arrive_s = small.next_departure, small.depart, small.arrive
-    next_dep_l, depart_l, arrive_l = large.next_departure, large.depart, large.arrive
-    len_s, len_l = small.lengths, large.lengths
+    sysm = _System(2 * N + 1, disc)
+    sysm.load(Configuration(init.queues * 2 + [ServerState()]))
+    enext, unext, snext = _buffers(gen, dist)
+    arrive, lengths = sysm.arrive, sysm.lengths
 
     counts = {"yellow": 0, "red": 0, "blue": 0}
-    hits_small = 0
-    hits_large = 0
+    hits = [0, 0]
     arr_small = [] if record_events else None
     arr_large = [] if record_events else None
-    sn_s, tg_s, sn_l, tg_l, emitted = [], [], [], [], []
-    si, ns = 0, len(samples)
-    next_arr = (enext() / total) if active else math.inf
 
-    while True:
-        dep_s = next_dep_s()
-        dep_l = next_dep_l()
-        nxt = min(next_arr, dep_s, dep_l)
-        cutoff = min(nxt, horizon)
-        while si < ns and samples[si] < cutoff:
-            sn_s.append(_snapshot(len_s))
-            tg_s.append(len_s[0])
-            sn_l.append(_snapshot(len_l))
-            tg_l.append(len_l[0])
-            emitted.append(samples[si])
-            si += 1
-        if nxt > horizon:
-            while si < ns and samples[si] <= horizon:
-                sn_s.append(_snapshot(len_s))
-                tg_s.append(len_s[0])
-                sn_l.append(_snapshot(len_l))
-                tg_l.append(len_l[0])
-                emitted.append(samples[si])
-                si += 1
-            break
-        if dep_s <= nxt and dep_s <= dep_l and dep_s <= next_arr:
-            depart_s()
-            continue
-        if dep_l <= nxt and dep_l <= next_arr:
-            depart_l()
-            continue
-        t = next_arr
+    def on_arrival(t):
         u = unext()
         stream = active[bisect_left(thresholds, u)] if len(active) > 1 else active[0]
         counts[stream] += 1
         if stream == "yellow":
             zeta = _sample_zeta(gen, unext, N, D)
-            s_small = _route(len_s, zeta, unext)
-            s_large = _route(len_l, zeta, unext)
+            s_small = _route(lengths, zeta, unext)
+            s_large = _route(lengths, tuple(N + s for s in zeta), unext) - N
             svc = snext()
-            svc_small = svc
-            svc_large = svc if s_large == s_small else snext()
-            arrive_s(s_small, t, svc_small)
-            arrive_l(s_large, t, svc_large)
-            hits_small += s_small == 0
-            hits_large += s_large == 0
+            arrive(s_small, t, svc)
+            arrive(N + s_large, t, svc if s_large == s_small else snext())
+            hits[0] += s_small == 0
+            hits[1] += s_large == 0
             if record_events:
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
         elif stream == "red":
             zeta = _sample_zeta(gen, unext, N, D)
-            s_small = _route(len_s, zeta, unext)
-            arrive_s(s_small, t, snext())
-            hits_small += s_small == 0
+            s_small = _route(lengths, zeta, unext)
+            arrive(s_small, t, snext())
+            hits[0] += s_small == 0
             if record_events:
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
         else:  # blue: the extra server plus D-1 of the first N
             rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
             zeta = rest + (N,)
-            s_large = _route(len_l, zeta, unext)
-            arrive_l(s_large, t, snext())
-            hits_large += s_large == 0
+            s_large = _route(lengths, tuple(N + s for s in zeta), unext) - N
+            arrive(N + s_large, t, snext())
+            hits[1] += s_large == 0
             if record_events:
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
-        next_arr = t + enext() / total
 
-    times = np.asarray(emitted)
-    traj_s = Trajectory(times, sn_s, np.asarray(tg_s, dtype=int),
-                        np.asarray(len_s, dtype=int))
-    traj_l = Trajectory(times.copy(), sn_l, np.asarray(tg_l, dtype=int),
-                        np.asarray(len_l, dtype=int))
+    traj_s, traj_l = _drive(sysm, horizon, sample_times,
+                            [(0, N), (N, 2 * N + 1)], total, enext, on_arrival)
     log_s = (EventLog(horizon, N, D, arr_small, None, len(arr_small))
              if record_events else None)
     log_l = (EventLog(horizon, N + 1, D, arr_large, None, len(arr_large))
              if record_events else None)
-    return CoupledPair(N, D, traj_s, traj_l, counts,
-                       (hits_small, hits_large), log_s, log_l)
+    return CoupledPair(N, D, traj_s, traj_l, counts, tuple(hits), log_s, log_l)
 
 
 def mean_field_profile(N, D, lam, dist, disc, horizon, n_reps, n_knots,

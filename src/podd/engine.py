@@ -13,8 +13,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .core import (Configuration, Discipline, ServerState, ServiceDistribution,
-                   TailCounts, as_generator, tail_counts_from_lengths)
+from .core import (Configuration, Discipline, ServiceDistribution, TailCounts,
+                   as_generator, tail_counts_from_lengths)
 
 _CHUNK = 4096
 _WINDOW = 256
@@ -109,22 +109,6 @@ def jsq_route(config: Configuration, zeta, rng) -> int:
     lengths = config.lengths()
     ubuf = _Buffer(lambda: gen.random(8))
     return _route(lengths, tuple(zeta), ubuf.next)
-
-
-def allocate_service(disc: Discipline, server: ServerState) -> np.ndarray:
-    """Per-job service rates for a server, in arrival order.  Rates sum to 1
-    on a busy server and to 0 on an idle one."""
-    n = len(server.jobs)
-    rates = np.zeros(n)
-    if n == 0:
-        return rates
-    if disc.kind == "FIFO":
-        rates[0] = 1.0
-    elif disc.kind == "PS":
-        rates[:] = 1.0 / n
-    else:  # LIFO_PR
-        rates[-1] = 1.0
-    return rates
 
 
 class _System:
@@ -227,6 +211,66 @@ def _snapshot(lengths):
     return tail_counts_from_lengths(lengths, max(max(lengths), 1))
 
 
+def _buffers(gen, dist):
+    """Draw functions for inter-arrival (standard exponential), uniform and
+    service draws.  Each buffer draws its first chunk when it is built, so
+    the order e, u, s here fixes the Generator's stream."""
+    return (_Buffer(lambda: gen.standard_exponential(_CHUNK)).next,
+            _Buffer(lambda: gen.random(_CHUNK)).next,
+            _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next)
+
+
+def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
+           departures=None):
+    """The event loop: advance `sysm` over [0, horizon].
+
+    Epochs of a Poisson process of rate `rate` (gaps `enext() / rate`) are
+    handed to `on_arrival(t)`; departures are popped in time order, and a
+    departure goes first when it ties with an epoch.  At each sample time
+    every view, a server range (lo, hi), is snapshotted; one Trajectory per
+    view is returned, its tagged server being `lo`.  Departures are appended
+    to `departures` as (t, server) when a list is given.
+    """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
+    samples = np.asarray(sorted(sample_times), dtype=float)
+    if samples.size and not np.isfinite(samples).all():
+        raise ValueError("sample times must be finite")
+    samples = samples.tolist()
+
+    next_departure, depart = sysm.next_departure, sysm.depart
+    lengths = sysm.lengths
+    kept = [(lo, hi, [], []) for lo, hi in views]
+    emitted = []
+    si, ns = 0, len(samples)
+    end = math.nextafter(horizon, math.inf)   # samples < end are <= horizon
+    next_arr = enext() / rate if rate > 0 else math.inf
+
+    while True:
+        next_dep = next_departure()
+        nxt = next_arr if next_arr < next_dep else next_dep
+        cutoff = nxt if nxt < end else end
+        while si < ns and samples[si] < cutoff:
+            for lo, hi, snaps, tagged in kept:
+                snaps.append(_snapshot(lengths[lo:hi]))
+                tagged.append(lengths[lo])
+            emitted.append(samples[si])
+            si += 1
+        if nxt > horizon:
+            break
+        if next_dep <= next_arr:
+            t, s = depart()
+            if departures is not None:
+                departures.append((t, s))
+        else:
+            on_arrival(next_arr)
+            next_arr += enext() / rate
+
+    return [Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
+                       np.asarray(lengths[lo:hi], dtype=int))
+            for lo, hi, snaps, tagged in kept]
+
+
 def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         init: Configuration, horizon, sample_times, rng,
         record_events=True, record_departures=False):
@@ -241,64 +285,29 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         raise ValueError("load must lie in (0, 1)")
     if not (1 <= D <= N):
         raise ValueError("need 1 <= D <= N")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and positive")
     if init.N != N:
         raise ValueError("initial configuration size does not match N")
-    samples = np.asarray(sorted(sample_times), dtype=float)
-    if samples.size and not np.isfinite(samples).all():
-        raise ValueError("sample times must be finite")
-    samples = samples.tolist()
 
     gen = as_generator(rng)
     sysm = _System(N, disc)
     sysm.load(init)
-    enext = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
-    unext = _Buffer(lambda: gen.random(_CHUNK)).next
-    snext = _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next
-    next_departure, depart, arrive = sysm.next_departure, sysm.depart, sysm.arrive
-    lengths = sysm.lengths
-
-    total_rate = lam * N
+    enext, unext, snext = _buffers(gen, dist)
+    arrive, lengths = sysm.arrive, sysm.lengths
     arrivals = []
     departures = [] if record_departures else None
     n_arr = 0
-    snaps, tagged, emitted = [], [], []
-    si, ns = 0, len(samples)
-    next_arr = enext() / total_rate
 
-    while True:
-        next_dep = next_departure()
-        nxt = next_arr if next_arr < next_dep else next_dep
-        cutoff = min(nxt, horizon)
-        while si < ns and samples[si] < cutoff:
-            snaps.append(_snapshot(lengths))
-            tagged.append(lengths[0])
-            emitted.append(samples[si])
-            si += 1
-        if nxt > horizon:
-            while si < ns and samples[si] <= horizon:
-                snaps.append(_snapshot(lengths))
-                tagged.append(lengths[0])
-                emitted.append(samples[si])
-                si += 1
-            break
-        if next_dep <= next_arr:  # ties resolve departure-before-arrival
-            t, s = depart()
-            if departures is not None:
-                departures.append((t, s))
-        else:
-            t = next_arr
-            zeta = _sample_zeta(gen, unext, N, D)
-            s = _route(lengths, zeta, unext)
-            arrive(s, t, snext())
-            n_arr += 1
-            if record_events:
-                arrivals.append(ArrivalEvent(t, zeta, s))
-            next_arr = t + enext() / total_rate
+    def on_arrival(t):
+        nonlocal n_arr
+        zeta = _sample_zeta(gen, unext, N, D)
+        s = _route(lengths, zeta, unext)
+        arrive(s, t, snext())
+        n_arr += 1
+        if record_events:
+            arrivals.append(ArrivalEvent(t, zeta, s))
 
-    traj = Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
-                      np.asarray(lengths, dtype=int))
+    traj, = _drive(sysm, horizon, sample_times, [(0, N)], lam * N, enext,
+                   on_arrival, departures)
     log = EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log

@@ -16,6 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from .engine import Trajectory, snapshot
+from .rates import _split_sum
 
 Z_VALUES = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 MIN_REPLICATIONS = 30
@@ -102,8 +103,9 @@ class PairMoments:
         return z_value(level) * math.sqrt(max(float(var_x), 0.0) / n)
 
 
-def _tail_pair(trajs, k, l, t):
-    """PairMoments of (pi_k(t), pi_l(t)) across replications, plus N."""
+def _moments(trajs, t, pair):
+    """PairMoments of `pair(tc)` over the replications' snapshots at t,
+    plus N."""
     if len(trajs) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     pm = PairMoments()
@@ -112,7 +114,7 @@ def _tail_pair(trajs, k, l, t):
         tc = snapshot(traj, t)
         if n_servers is None:
             n_servers = tc.N
-        pm.add(tc.get(k), tc.get(l))
+        pm.add(*pair(tc))
     return pm, n_servers
 
 
@@ -123,15 +125,9 @@ def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
     (pi_k - pi_{k+1}, pi_l - pi_{l+1}) is accumulated exactly and scaled by
     1/N^2 once at the end.
     """
-    if len(trajs) < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    pm = PairMoments()
-    n_servers = None
-    for traj in trajs:
-        tc = snapshot(traj, t)
-        if n_servers is None:
-            n_servers = tc.N
-        pm.add(tc.get(k) - tc.get(k + 1), tc.get(l) - tc.get(l + 1))
+    pm, n_servers = _moments(
+        trajs, t,
+        lambda tc: (tc.get(k) - tc.get(k + 1), tc.get(l) - tc.get(l + 1)))
     scale = n_servers * n_servers
     return EstimateRow("cov_mk", {"N": n_servers, "k": k, "l": l, "t": t},
                        abs(float(pm.covariance())) / scale,
@@ -141,7 +137,7 @@ def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
 
 def cov_pi(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
     """|Cov(pi_k(t), pi_l(t))| across replications (raw tail counts)."""
-    pm, n_servers = _tail_pair(trajs, k, l, t)
+    pm, n_servers = _moments(trajs, t, lambda tc: (tc.get(k), tc.get(l)))
     return EstimateRow("cov_pi", {"N": n_servers, "k": k, "l": l, "t": t},
                        abs(float(pm.covariance())),
                        pm.covariance_half_width(level),
@@ -154,15 +150,7 @@ def tagged_rate_from_counts(n: int, d: int, lam: float, pi_k: int, pi_k1: int):
     contain no server at exactly level k)."""
     if not 0 <= pi_k1 <= pi_k <= n:
         raise ValueError("need 0 <= pi_k1 <= pi_k <= n")
-    a, b = pi_k1, pi_k
-    total = 0
-    for i in range(d):
-        term = 1
-        for j in range(i):
-            term *= a - j
-        for j in range(i + 1, d):
-            term *= b - j
-        total += term
+    total = _split_sum(d, pi_k1, pi_k)
     value = lam * n * Fraction(total, factorial(d) * comb(n, d))
     return value if isinstance(lam, Fraction) else float(value)
 
@@ -175,7 +163,7 @@ def var_lambda_rate(trajs, k: int, t: float, n_servers: int, lam: float,
     moments (closed form, d=2 only) and the direct sample variance of the rate
     evaluated per replication (any d).
     """
-    pm, n_chk = _tail_pair(trajs, k, k + 1, t)
+    pm, n_chk = _moments(trajs, t, lambda tc: (tc.get(k), tc.get(k + 1)))
     if n_chk != n_servers:
         raise ValueError("trajectories disagree with the stated system size")
     rows = []

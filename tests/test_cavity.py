@@ -108,6 +108,17 @@ class TestRunCavity:
                        sample_times=[10.0, 50.0])
         assert (a.tagged == b.tagged).all()
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            run_cavity(2, 0.5, TailProfile.stationary(2, 0.5), EXP, FIFO,
+                       horizon, RngStream(0), sample_times=[1.0])
+
+    def test_nan_sample_time_rejected(self):
+        with pytest.raises(ValueError, match="sample times"):
+            run_cavity(2, 0.5, TailProfile.stationary(2, 0.5), EXP, FIFO,
+                       2.0, RngStream(0), sample_times=[1.0, math.nan])
+
 
 class TestRunCoupled:
     def test_stream_rates(self):
@@ -163,6 +174,23 @@ class TestRunCoupled:
         assert small_ids <= set(range(6))
         blue_events = [ev for ev in pair.log_large.arrivals if 6 in ev.zeta]
         assert len(blue_events) == pair.counts["blue"]
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            run_coupled(4, 2, 0.5, EXP, FIFO, Configuration.empty(4), horizon,
+                        RngStream(0), sample_times=[1.0])
+
+    def test_nan_sample_time_rejected(self):
+        with pytest.raises(ValueError, match="sample times"):
+            run_coupled(4, 2, 0.5, EXP, FIFO, Configuration.empty(4), 2.0,
+                        RngStream(0), sample_times=[math.nan])
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5])
+    def test_load_outside_unit_interval_rejected(self, lam):
+        with pytest.raises(ValueError, match="load"):
+            run_coupled(4, 2, lam, EXP, FIFO, Configuration.empty(4), 2.0,
+                        RngStream(0))
 
 
 class TestMeanFieldProfile:

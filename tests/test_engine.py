@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
-                       ServerState, ServiceDistribution, tail_counts)
-from podd.engine import (_CHUNK, allocate_service, jsq_route, run,
-                         sample_arrival_log, snapshot, _Buffer, _System)
+                       ServiceDistribution, tail_counts)
+from podd.engine import (_CHUNK, jsq_route, run, sample_arrival_log, snapshot,
+                         _Buffer, _System)
 from podd.rates import RateInputs, arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
@@ -45,23 +45,6 @@ class TestBuffer:
         want = np.concatenate([ref.random(_CHUNK) for _ in range(3)])
         assert got == want[: len(got)].tolist()
         assert all(type(v) is float for v in got)
-
-
-class TestAllocateService:
-    def test_ps_shares(self):
-        srv = ServerState([j for j in config_from_lengths([2]).queues[0].jobs])
-        assert list(allocate_service(PS, srv)) == [0.5, 0.5]
-
-    def test_fifo_head(self):
-        srv = config_from_lengths([3]).queues[0]
-        assert list(allocate_service(FIFO, srv)) == [1.0, 0.0, 0.0]
-
-    def test_lifo_tail(self):
-        srv = config_from_lengths([3]).queues[0]
-        assert list(allocate_service(LIFO_PR, srv)) == [0.0, 0.0, 1.0]
-
-    def test_empty(self):
-        assert list(allocate_service(PS, ServerState())) == []
 
 
 class TestDepartureTiming:
