@@ -197,6 +197,13 @@ class TestPinnedDigests:
           "lambda": [0.5], "seed": 0},
          {"rates_check.csv":
           "436eec83e7fd8cc689d7ce9fd45c58ec2398d3dde02ae42e623b6ff6ab2497c6"}),
+        # loads whose limit_denominator(10**6) is not dyadic, so the rate
+        # column shows a one-ulp change in how the exact ratio is rounded
+        ("rates-check-nondyadic",
+         {"kind": "rates-check", "N": list(range(2, 13)), "D": [1, 2, 3, 4, 5],
+          "lambda": [0.3, 0.7071067811865476], "seed": 0},
+         {"rates_check.csv":
+          "e5ee08ec0d7f1f72bf60c6a9f054225ba28eed38e12c21e2b671faae22557cc6"}),
         ("clan",
          {"kind": "clan", "N": [10, 50], "D": [2, 3], "lambda": [0.5],
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7},
