@@ -30,12 +30,14 @@ from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
 from .engine import run
 from .estimators import (cov_mk, stationary_tail, z_value)
 from .rates import (BoundInputs, RELATIONS, RateInputs, adjusted_plus_one_inputs,
-                    arrival_rate_closed, arrival_rate_hyper,
-                    arrival_rate_plus_one, asymptotic_tail, chaos_bound,
-                    chaos_bound_limit, clan_growth_factor,
-                    clan_intersection_bound, clan_size_bound,
-                    limit_bound_is_valid, monotone_threshold,
-                    tail_count_cov_bound, uniform_rate_bound)
+                    asymptotic_tail, chaos_bound, chaos_bound_limit,
+                    clan_growth_factor, clan_intersection_bound,
+                    clan_size_bound, closed_ratio, hyper_ratio,
+                    limit_bound_is_valid, monotone_threshold, plus_one_ratio,
+                    tail_count_cov_bound, uniform_bound_ratio)
+# unused here; perfbench/spans.py patches these names on this module
+from .rates import (arrival_rate_closed, arrival_rate_hyper,
+                    arrival_rate_plus_one)
 
 KINDS = ("bounds", "simulate", "chaos", "clan", "tagged", "stationary",
          "rates-check", "coupled")
@@ -305,29 +307,32 @@ def _run_bounds(spec, out_dir, workers):
 
 
 def _run_rates_check(spec, out_dir, workers):
+    # Every rate is lam * P / Q with Q > 0 and lam > 0, so two rates at one
+    # load compare exactly as P1 * Q2 against P2 * Q1.
     rows = []
     failures = 0
     for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
         if not 1 <= d <= n or n < 2:
             continue
         lam_q = Fraction(lam).limit_denominator(10**6)
-        ubound = uniform_rate_bound(d, lam_q)
+        lam_p, lam_r = lam_q.numerator, lam_q.denominator
+        ub_p, ub_q = uniform_bound_ratio(d)
         thresh = monotone_threshold(d) if d >= 2 else 0
         for pi_k in range(1, n + 1):
             for pi_k1 in range(pi_k):
                 inp = RateInputs(n, d, lam_q, pi_k, pi_k1)
-                closed = arrival_rate_closed(inp)
-                hyper = arrival_rate_hyper(inp)
-                identity_ok = closed == hyper
-                uniform_ok = closed <= ubound
+                cp, cq = closed_ratio(inp)
+                hp, hq = hyper_ratio(inp)
+                identity_ok = cp * hq == hp * cq
+                uniform_ok = cp * ub_q <= ub_p * cq
                 consistency_ok = True
                 mono = {}
                 for rel in RELATIONS:
-                    np1 = arrival_rate_plus_one(inp, rel)
-                    adj = adjusted_plus_one_inputs(inp, rel)
-                    if arrival_rate_closed(adj) != np1:
+                    pp, pq = plus_one_ratio(inp, rel)
+                    ap, aq = closed_ratio(adjusted_plus_one_inputs(inp, rel))
+                    if ap * pq != pp * aq:
                         consistency_ok = False
-                    mono[rel] = np1 >= closed
+                    mono[rel] = pp * cq >= cp * pq
                 # gate on the comparisons that hold identically; the equal
                 # and below relations can genuinely decrease the rate and are
                 # reported as columns instead
@@ -336,8 +341,9 @@ def _run_rates_check(spec, out_dir, workers):
                     gated = gated and mono["above"]
                 if not gated:
                     failures += 1
+                # int / int is correctly rounded, as float(Fraction) is
                 rows.append([n, d, _fmt(lam), pi_k, pi_k1,
-                             _fmt(float(closed)), int(identity_ok),
+                             _fmt(lam_p * cp / (lam_r * cq)), int(identity_ok),
                              int(uniform_ok), int(consistency_ok),
                              int(mono["above"]), int(mono["equal"]),
                              int(not mono["below"])])

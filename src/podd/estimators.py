@@ -148,6 +148,8 @@ def tagged_rate_from_counts(n: int, d: int, lam: float, pi_k: int, pi_k1: int):
     """Arrival rate to a server at level k given the tail counts, continuously
     extended to pi_k == pi_{k+1} via the split-point sum (the snapshot may
     contain no server at exactly level k)."""
+    if not 1 <= d <= n:
+        raise ValueError("need 1 <= d <= n")
     if not 0 <= pi_k1 <= pi_k <= n:
         raise ValueError("need 0 <= pi_k1 <= pi_k <= n")
     total = _split_sum(d, pi_k1, pi_k)

@@ -1,9 +1,11 @@
 """Closed-form arrival rates and correlation bounds for JSQ(D) systems.
 
 Every function here is a pure function of scalar inputs.  Each rate kernel
-reduces its combinatorial sum to one ratio of Python ints P/Q (the 1/i terms
-share the denominator lcm(1..d)), so the rate is lam * P / Q.  A `Fraction`
-load gives that rate exactly, which the test suite uses as its
+reduces its combinatorial sum to one ratio of Python ints P/Q with Q > 0 (the
+1/i terms share the denominator lcm(1..d)), returned by its `*_ratio`
+function, so the rate is lam * P / Q.  Since lam > 0 scales both sides, two
+rates at one load compare exactly as P1 * Q2 against P2 * Q1.  A `Fraction`
+load gives the rate exactly, which the test suite uses as its
 arbitrary-precision oracle.  A float load gives lam * float(P/Q): the ratio
 is rounded once to the nearest float and then multiplied by lam, so the
 result is within two roundings (relative error below 2.3e-16) of the exact
@@ -108,32 +110,47 @@ def _scaled(lam, p: int, q: int):
     return lam * (p / q)    # int / int is correctly rounded
 
 
-def arrival_rate_hyper(inp: RateInputs):
-    """Arrival rate to the tagged server, as the explicit sum over how many of
-    the d sampled servers sit at the tagged level (hypergeometric weights)."""
+def hyper_ratio(inp: RateInputs) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_hyper(inp)` = lam * P / Q."""
     n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
     gap = inp.pi_k - pi_k1
     top = _lcm_upto(d)      # sum_i w_i / i = total / top
     total = 0
     for i in range(1, d + 1):
         total += comb(gap - 1, i - 1) * comb(pi_k1, d - i) * (top // i)
-    return _scaled(inp.lam, n * total, comb(n, d) * top)
+    return n * total, comb(n, d) * top
+
+
+def arrival_rate_hyper(inp: RateInputs):
+    """Arrival rate to the tagged server, as the explicit sum over how many of
+    the d sampled servers sit at the tagged level (hypergeometric weights)."""
+    return _scaled(inp.lam, *hyper_ratio(inp))
+
+
+def closed_ratio(inp: RateInputs) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_closed(inp)` = lam * P / Q."""
+    n, d = inp.n, inp.d
+    num = comb(inp.pi_k, d) - comb(inp.pi_k1, d)
+    return n * num, comb(n, d) * (inp.pi_k - inp.pi_k1)
 
 
 def arrival_rate_closed(inp: RateInputs):
     """Same rate via the binomial-difference form, valid for every admissible
     occupancy under the convention C(n, r) = 0 outside 0 <= r <= n."""
-    n, d = inp.n, inp.d
-    num = comb(inp.pi_k, d) - comb(inp.pi_k1, d)
-    return _scaled(inp.lam, n * num, comb(n, d) * (inp.pi_k - inp.pi_k1))
+    return _scaled(inp.lam, *closed_ratio(inp))
+
+
+def uniform_bound_ratio(d: int) -> tuple[int, int]:
+    """(d^d, (d-1)!), the ratio of `uniform_rate_bound`."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return d**d, math.factorial(d - 1)
 
 
 def uniform_rate_bound(d: int, lam):
     """Upper bound lam * d^d / (d-1)! that dominates the arrival rate for
     every system size and occupancy."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return _scaled(lam, d**d, math.factorial(d - 1))
+    return _scaled(lam, *uniform_bound_ratio(d))
 
 
 def monotone_threshold(d: int) -> int:
@@ -144,6 +161,28 @@ def monotone_threshold(d: int) -> int:
     if d < 2:
         raise ValueError("threshold is defined for d >= 2")
     return 3 * d - 4
+
+
+def plus_one_ratio(inp: RateInputs, relation: str) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_plus_one(inp, relation)` = lam * P / Q."""
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}")
+    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
+    gap = inp.pi_k - pi_k1
+    delta = comb(inp.pi_k, d) - comb(pi_k1, d)
+    if relation == "below":
+        return (n - d + 1) * delta, comb(n, d) * gap
+    top = _lcm_upto(d)      # E = extra / top
+    extra = 0
+    if relation == "above":
+        # i = d would need C(pi_k1, -1), which vanishes by convention
+        for i in range(1, d):
+            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
+    else:
+        for i in range(2, d + 1):
+            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
+    return ((n - d + 1) * (delta * top + extra * gap),
+            comb(n, d) * gap * top)
 
 
 def arrival_rate_plus_one(inp: RateInputs, relation: str):
@@ -161,24 +200,7 @@ def arrival_rate_plus_one(inp: RateInputs, relation: str):
     C(pi_k1, d), gap g and extra sum E the rate is
     lam * (n-d+1) * (Delta/g + E) / C(n, d).
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}")
-    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
-    gap = inp.pi_k - pi_k1
-    delta = comb(inp.pi_k, d) - comb(pi_k1, d)
-    if relation == "below":
-        return _scaled(inp.lam, (n - d + 1) * delta, comb(n, d) * gap)
-    top = _lcm_upto(d)      # E = extra / top
-    extra = 0
-    if relation == "above":
-        # i = d would need C(pi_k1, -1), which vanishes by convention
-        for i in range(1, d):
-            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
-    else:
-        for i in range(2, d + 1):
-            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
-    return _scaled(inp.lam, (n - d + 1) * (delta * top + extra * gap),
-                   comb(n, d) * gap * top)
+    return _scaled(inp.lam, *plus_one_ratio(inp, relation))
 
 
 def adjusted_plus_one_inputs(inp: RateInputs, relation: str) -> RateInputs:

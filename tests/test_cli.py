@@ -84,6 +84,25 @@ class TestExitCodes:
         assert all(r["uniform_ok"] == "1" for r in rows)
         assert all(r["monotone_above"] == "1" for r in rows)
 
+    def test_rates_check_identity_off_by_one_is_1(self, tmp_path, monkeypatch):
+        # one unit more in the hyper numerator on one cell must fail that row
+        import podd.cli
+        real = podd.cli.hyper_ratio
+
+        def skewed(inp):
+            p, q = real(inp)
+            return (p + 1, q) if (inp.pi_k, inp.pi_k1) == (4, 1) else (p, q)
+
+        monkeypatch.setattr(podd.cli, "hyper_ratio", skewed)
+        cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6],
+                                      "D": [3], "lambda": [0.3], "seed": 1})
+        out = tmp_path / "rc"
+        assert main(["rates-check", "--config", cfg, "--out", str(out)]) == 1
+        with open(out / "rates_check.csv") as fh:
+            bad = [(r["pi_k"], r["pi_k1"]) for r in csv.DictReader(fh)
+                   if r["identity_ok"] != "1"]
+        assert bad == [("4", "1")]
+
 
 class TestBounds:
     def test_t_zero_chaos_is_one_over_n(self, tmp_path):

@@ -176,6 +176,11 @@ class TestVarLambdaRate:
         assert tagged_rate_from_counts(10, 2, 0.5, 4, 4) == pytest.approx(
             0.5 / 9 * 7)
 
+    @pytest.mark.parametrize("n,d,pk,pk1", [(1, 2, 1, 0), (5, 0, 3, 1)])
+    def test_rate_extension_rejects_d_outside_1_to_n(self, n, d, pk, pk1):
+        with pytest.raises(ValueError, match="1 <= d <= n"):
+            tagged_rate_from_counts(n, d, 0.7, pk, pk1)
+
 
 class TestStationaryTail:
     def test_random_routing_matches_mm1(self):
