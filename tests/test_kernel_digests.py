@@ -1,7 +1,8 @@
 """sha256 of the event kernel's return objects at fixed inputs.
 
 The CSV pins in `test_cli.py` see only what the subcommands write.  These
-cover what no CSV keeps: departure logs of `run`, both trajectories and
+cover what no CSV keeps: departure logs of `run` under each discipline (at
+D = 2 both by rejection sampling and by permutation), both trajectories and
 both arrival logs of the coupled pair over several sample times (including
 simultaneous departures under deterministic service), and a cavity
 trajectory driven by an empirical profile.  Every float is hashed through
@@ -73,6 +74,33 @@ def _run_lifo_permutation():
                record_departures=True)
 
 
+def _run_d2_ps_hyperexp():
+    # D = 2 and N > 4: candidates drawn by rejection, not by permutation
+    return run(9, 2, 0.85, HYP, PS, geometric(9, 0.85, HYP, 6), 25.0,
+               np.linspace(0.0, 25.0, 11), RngStream(48).child("run"),
+               record_departures=True)
+
+
+def _run_d2_lifo_erlang():
+    return run(7, 2, 0.75, ERL4, LIFO_PR, all_at_2(7, ERL4, 7), 25.0,
+               np.linspace(0.0, 25.0, 11), RngStream(49).child("run"),
+               record_departures=True)
+
+
+def _run_d2_fifo_det():
+    # ties in queue lengths on arrival and in departure times
+    return run(10, 2, 0.8, DET, FIFO, all_at_2(10, DET, 8), 20.0,
+               [0.0, 1.0, 2.0, 3.0, 10.0, 20.0],
+               RngStream(50).child("run"), record_departures=True)
+
+
+def _run_d2_permutation():
+    # N = 4 is the largest N at which D = 2 samples by permutation
+    return run(4, 2, 0.7, EXP, FIFO, all_at_2(4, EXP, 9), 25.0,
+               np.linspace(0.0, 25.0, 6), RngStream(51).child("run"),
+               record_departures=True)
+
+
 def _coupled_erlang_geometric():
     return run_coupled(10, 2, 0.8, ERL4, PS, geometric(10, 0.8, ERL4, 3), 30.0,
                        RngStream(44).child("pair"),
@@ -113,6 +141,18 @@ CASES = {
     "run-lifo-hyperexp-permutation":
         (_run_lifo_permutation,
          "1745352532033e725d8be5fbf0b794b107c20f24a18c2219923032edcbe86ea9"),
+    "run-d2-ps-hyperexp-geometric":
+        (_run_d2_ps_hyperexp,
+         "027ca578f2288aebf5656e55638fcb7a84267aade37e9b7e80de88ed723c77af"),
+    "run-d2-lifo-erlang-all-at-2":
+        (_run_d2_lifo_erlang,
+         "4638f556a6eb46d1e995a2b2da1b531b3a3251413f829ed0ffd0c7ddcb06bbcb"),
+    "run-d2-fifo-det-all-at-2":
+        (_run_d2_fifo_det,
+         "db11e2bbb241138139cf2ecc7001565d44c4149593de745fb44761eff7355151"),
+    "run-d2-n4-permutation":
+        (_run_d2_permutation,
+         "b1c233549f39c7d9007b016559e29e625325bcf99acf457ba373b838c93f3c89"),
     "coupled-ps-erlang-geometric":
         (_coupled_erlang_geometric,
          "ee9babcd3ff96018d51a76cbba93dc5f9283bdd2f74c9e3329530e2e479e34bf"),
