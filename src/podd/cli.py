@@ -215,6 +215,8 @@ def parse_config(text, kind: str | None = None) -> ExperimentSpec:
         out["warmup"] = _positive_real(doc["warmup"], "warmup")
     if "sample_times" in doc and doc["sample_times"] is not None:
         out["sample_times"] = _real_list(doc["sample_times"], "sample_times")
+        if any(not 0 <= v <= out["horizon"] for v in out["sample_times"]):
+            raise ConfigError("sample_times: times must lie in [0, horizon]")
     if "record_events" in doc:
         if not isinstance(doc["record_events"], bool):
             raise ConfigError("record_events: expected true or false")
@@ -373,9 +375,10 @@ def _run_simulate(spec, out_dir, workers):
             for k, pik in enumerate(tc.pi):
                 traj_rows.append([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik])
         if spec.record_events:
+            # event times are Python floats, so repr is what _fmt writes
             for ev in log.arrivals:
-                event_rows.append([r, _fmt(ev.time), "A", ev.routed_to,
-                                   "|".join(str(s) for s in ev.zeta)])
+                event_rows.append([r, repr(ev.time), "A", ev.routed_to,
+                                   "|".join(map(str, ev.zeta))])
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["rep", "N", "D", "lambda", "t", "k", "pi_k"], traj_rows)
     if spec.record_events:

@@ -20,7 +20,7 @@ _CHUNK = 4096
 _WINDOW = 256
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrivalEvent:
     """One realized arrival: its time, the sampled candidate set, and where
     the task went (None for arrival-only logs that never route)."""
@@ -114,18 +114,20 @@ def jsq_route(config: Configuration, zeta, rng) -> int:
 class _System:
     """Mutable queue state of one system plus its departure schedule.
 
-    Each server holds its jobs' residual work as a list of Python floats in
-    arrival order; `arrive` rejects a residual that is not positive.  `touch`
-    advances a server's residuals to the current time under the
-    discipline's rate allocation, and the departure heap uses per-server
-    version counters to drop schedules invalidated by preemption or share
-    changes.
+    `_System(n, discipline)` builds that discipline's kernel: `_Fifo`, `_Ps`
+    or `_LifoPr`.  Each server holds its jobs' residual work as a list of
+    Python floats in arrival order, advanced to time `last[s]`; `arrive`
+    rejects a residual that is not positive.  The departure heap holds
+    (time, server, seq, version) entries, and per-server version counters
+    drop schedules invalidated by preemption or share changes.
     """
 
-    __slots__ = ("kind", "lengths", "jobs", "last", "ver", "heap", "seq")
+    __slots__ = ("lengths", "jobs", "last", "ver", "heap", "seq")
 
-    def __init__(self, n, discipline: Discipline):
-        self.kind = discipline.kind
+    def __new__(cls, n, discipline: Discipline):
+        return object.__new__(_KERNELS[discipline.kind])
+
+    def __init__(self, n, discipline):
         self.lengths = [0] * n
         self.jobs = [[] for _ in range(n)]
         self.last = [0.0] * n
@@ -141,70 +143,134 @@ class _System:
                 self.lengths[s] = len(q.jobs)
                 self._schedule(s, 0.0)
 
-    def touch(self, s, t):
-        dt = t - self.last[s]
-        self.last[s] = t
-        if dt <= 0.0:
-            return
-        js = self.jobs[s]
-        if not js:
-            return
-        if self.kind == "FIFO":
-            js[0] -= dt
-        elif self.kind == "PS":
-            dec = dt / len(js)
-            self.jobs[s] = [r - dec for r in js]
-        else:
-            js[-1] -= dt
-
-    def _schedule(self, s, t):
-        js = self.jobs[s]
-        if not js:
-            return
-        if self.kind == "FIFO":
-            due = js[0]
-        elif self.kind == "PS":
-            due = len(js) * min(js)
-        else:
-            due = js[-1]
-        self.seq += 1
-        heappush(self.heap, (t + max(due, 0.0), s, self.seq, self.ver[s]))
-
-    def arrive(self, s, t, residual):
-        if residual <= 0:
-            raise ValueError("job residual must be positive")
-        self.touch(s, t)
-        self.jobs[s].append(residual)
-        self.lengths[s] += 1
-        if self.kind == "FIFO":
-            if self.lengths[s] == 1:
-                self._schedule(s, t)
-        else:
-            self.ver[s] += 1
-            self._schedule(s, t)
-
     def next_departure(self):
         heap = self.heap
         while heap and heap[0][3] != self.ver[heap[0][1]]:
             heappop(heap)
         return heap[0][0] if heap else math.inf
 
-    def depart(self):
-        self.next_departure()   # drop stale schedules first
-        t, s, _, _ = heappop(self.heap)
-        self.touch(s, t)
+
+class _Fifo(_System):
+    """Only the head job is served, and its finish time is fixed when it
+    reaches the head, so residuals are never advanced and `last` is unused.
+    A server has at most one schedule, never stale, so versions stay 0."""
+
+    __slots__ = ()
+
+    def _schedule(self, s, t):
         js = self.jobs[s]
-        if self.kind == "FIFO":
-            js.pop(0)
-        elif self.kind == "PS":
-            js.pop(js.index(min(js)))
-        else:
-            js.pop()
+        if js:
+            due = js[0]
+            self.seq += 1
+            heappush(self.heap, (t + (due if due > 0.0 else 0.0), s, self.seq, 0))
+
+    def arrive(self, s, t, residual):
+        if residual <= 0:
+            raise ValueError("job residual must be positive")
+        self.jobs[s].append(residual)
+        self.lengths[s] += 1
+        if self.lengths[s] == 1:
+            self.seq += 1
+            heappush(self.heap, (t + residual, s, self.seq, 0))
+
+    def depart(self):
+        t, s, _, _ = heappop(self.heap)
+        self.jobs[s].pop(0)
         self.lengths[s] -= 1
-        if self.kind != "FIFO":
-            self.ver[s] += 1
         self._schedule(s, t)
         return t, s
+
+
+class _Ps(_System):
+    """All jobs on a server share it equally; its residuals are advanced
+    whenever the share changes."""
+
+    __slots__ = ()
+
+    def _schedule(self, s, t):
+        js = self.jobs[s]
+        if js:
+            due = len(js) * min(js)
+            self.seq += 1
+            heappush(self.heap,
+                     (t + (due if due > 0.0 else 0.0), s, self.seq, self.ver[s]))
+
+    def arrive(self, s, t, residual):
+        if residual <= 0:
+            raise ValueError("job residual must be positive")
+        js = self.jobs[s]
+        dt = t - self.last[s]
+        self.last[s] = t
+        if dt > 0.0 and js:
+            dec = dt / len(js)
+            self.jobs[s] = js = [r - dec for r in js]
+        js.append(residual)
+        self.lengths[s] += 1
+        self.ver[s] += 1
+        self._schedule(s, t)
+
+    def depart(self):
+        heap, ver = self.heap, self.ver
+        while True:
+            t, s, _, v = heappop(heap)
+            if v == ver[s]:
+                break
+        js = self.jobs[s]
+        dt = t - self.last[s]
+        self.last[s] = t
+        if dt > 0.0:
+            dec = dt / len(js)
+            self.jobs[s] = js = [r - dec for r in js]
+        js.pop(js.index(min(js)))
+        self.lengths[s] -= 1
+        ver[s] += 1
+        self._schedule(s, t)
+        return t, s
+
+
+class _LifoPr(_System):
+    """Only the newest job is served, and an arrival preempts it: the job in
+    service is advanced when a job arrives on its server."""
+
+    __slots__ = ()
+
+    def _schedule(self, s, t):
+        js = self.jobs[s]
+        if js:
+            due = js[-1]
+            self.seq += 1
+            heappush(self.heap,
+                     (t + (due if due > 0.0 else 0.0), s, self.seq, self.ver[s]))
+
+    def arrive(self, s, t, residual):
+        if residual <= 0:
+            raise ValueError("job residual must be positive")
+        js = self.jobs[s]
+        dt = t - self.last[s]
+        self.last[s] = t
+        if dt > 0.0 and js:
+            js[-1] -= dt
+        js.append(residual)
+        self.lengths[s] += 1
+        self.ver[s] = v = self.ver[s] + 1
+        self.seq += 1
+        heappush(self.heap, (t + residual, s, self.seq, v))
+
+    def depart(self):
+        heap, ver = self.heap, self.ver
+        while True:
+            t, s, _, v = heappop(heap)
+            if v == ver[s]:
+                break
+        self.last[s] = t
+        self.jobs[s].pop()     # the job in service, done at t
+        self.lengths[s] -= 1
+        ver[s] += 1
+        self._schedule(s, t)
+        return t, s
+
+
+_KERNELS = {"FIFO": _Fifo, "PS": _Ps, "LIFO_PR": _LifoPr}
 
 
 def _snapshot(lengths):
@@ -229,7 +295,8 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     departure goes first when it ties with an epoch.  At each sample time
     every view, a server range (lo, hi), is snapshotted; one Trajectory per
     view is returned, its tagged server being `lo`.  Departures are appended
-    to `departures` as (t, server) when a list is given.
+    to `departures` as (t, server) when a list is given.  Sample times must
+    lie in [0, horizon].
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and positive")
@@ -237,25 +304,33 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     if samples.size and not np.isfinite(samples).all():
         raise ValueError("sample times must be finite")
     samples = samples.tolist()
+    if samples and (samples[0] < 0.0 or samples[-1] > horizon):
+        raise ValueError("sample times must lie in [0, horizon]")
 
-    next_departure, depart = sysm.next_departure, sysm.depart
+    depart, heap, ver = sysm.depart, sysm.heap, sysm.ver
     lengths = sysm.lengths
     kept = [(lo, hi, [], []) for lo, hi in views]
     emitted = []
-    si, ns = 0, len(samples)
+    si = 0
     end = math.nextafter(horizon, math.inf)   # samples < end are <= horizon
     next_arr = enext() / rate if rate > 0 else math.inf
 
+    samples.append(math.inf)
+    next_sample = samples[0]
+
     while True:
-        next_dep = next_departure()
+        while heap and heap[0][3] != ver[heap[0][1]]:
+            heappop(heap)    # a schedule made stale by preemption or sharing
+        next_dep = heap[0][0] if heap else math.inf
         nxt = next_arr if next_arr < next_dep else next_dep
         cutoff = nxt if nxt < end else end
-        while si < ns and samples[si] < cutoff:
+        while next_sample < cutoff:
             for lo, hi, snaps, tagged in kept:
                 snaps.append(_snapshot(lengths[lo:hi]))
                 tagged.append(lengths[lo])
-            emitted.append(samples[si])
+            emitted.append(next_sample)
             si += 1
+            next_sample = samples[si]
         if nxt > horizon:
             break
         if next_dep <= next_arr:
@@ -306,8 +381,23 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         if record_events:
             arrivals.append(ArrivalEvent(t, zeta, s))
 
+    def on_arrival_d2(t):
+        # _sample_zeta then _route at D = 2 < N/2, inlined: the same draws
+        nonlocal n_arr
+        a = int(unext() * N)
+        b = int(unext() * N)
+        while b == a:
+            b = int(unext() * N)
+        la, lb = lengths[a], lengths[b]
+        s = a if la < lb else b if lb < la else (a, b)[int(unext() * 2)]
+        arrive(s, t, snext())
+        n_arr += 1
+        if record_events:
+            arrivals.append(ArrivalEvent(t, (a, b), s))
+
     traj, = _drive(sysm, horizon, sample_times, [(0, N)], lam * N, enext,
-                   on_arrival, departures)
+                   on_arrival_d2 if D == 2 and N > 4 else on_arrival,
+                   departures)
     log = EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log

@@ -48,6 +48,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{nope")
 
+    @pytest.mark.parametrize("times", [[-0.5, 1.0], [1.0, 2.5], [math.nan]])
+    def test_sample_times_outside_horizon_rejected(self, times):
+        doc = {"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
+               "horizon": 2.0, "seed": 4, "sample_times": times}
+        with pytest.raises(ConfigError, match="sample_times"):
+            parse_config(doc)
+
+    def test_sample_times_at_both_ends_accepted(self):
+        doc = {"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
+               "horizon": 2.0, "seed": 4, "sample_times": [0, 2.0]}
+        assert parse_config(doc).sample_times == (0.0, 2.0)
+
     def test_round_trip(self):
         docs = [
             MINIMAL_BOUNDS,
@@ -67,6 +79,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"kind": "bounds", "seed": 1})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_sample_time_over_horizon_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "simulate", "N": [10], "D": [2],
+                                      "lambda": [0.5], "horizon": 2.0,
+                                      "seed": 1, "sample_times": [1.0, 3.0]})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "sample_times" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2

@@ -74,6 +74,33 @@ class TestDepartureTiming:
         assert s.depart()[0] == pytest.approx(1.0)
         assert s.depart()[0] == pytest.approx(1.4)
 
+    # job A (residual 1.0) from time 0, then job B (0.5) arrives at 0.4
+
+    def _departures_with_arrival_during_service(self, disc):
+        s = _System(1, disc)
+        s.arrive(0, 0.0, 1.0)
+        s.arrive(0, 0.4, 0.5)
+        return [s.depart()[0] for _ in range(2)], s.next_departure()
+
+    def test_fifo_arrival_during_service(self):
+        # A keeps the server: A at 1.0, then B at 1.0 + 0.5
+        times, after = self._departures_with_arrival_during_service(FIFO)
+        assert times == pytest.approx([1.0, 1.5])
+        assert after == math.inf
+
+    def test_ps_arrival_during_service(self):
+        # A has 0.6 left at 0.4; both served at rate 1/2, so B (0.5) ends at
+        # 0.4 + 2 * 0.5 = 1.4 with A at 0.1, which then ends alone at 1.5
+        times, after = self._departures_with_arrival_during_service(PS)
+        assert times == pytest.approx([1.4, 1.5])
+        assert after == math.inf
+
+    def test_lifo_arrival_during_service(self):
+        # B preempts A (0.6 left) and ends at 0.9; A resumes and ends at 1.5
+        times, after = self._departures_with_arrival_during_service(LIFO_PR)
+        assert times == pytest.approx([0.9, 1.5])
+        assert after == math.inf
+
     def test_nonpositive_residual_rejected(self):
         for residual in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive"):
@@ -150,6 +177,17 @@ class TestSnapshots:
         for tc in traj.snapshots:
             assert tc.pi[0] == 8
             assert all(a >= b for a, b in zip(tc.pi, tc.pi[1:]))
+
+    def test_sample_time_at_both_ends(self):
+        traj, _ = run(3, 2, 0.5, EXP, FIFO, Configuration.empty(3), 1.0,
+                      [1.0, 0.0], RngStream(9))
+        assert traj.times.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("t", [-0.25, math.nextafter(1.0, 2.0), 2.0])
+    def test_sample_time_outside_horizon_rejected(self, t):
+        with pytest.raises(ValueError, match=r"\[0, horizon\]"):
+            run(3, 2, 0.5, EXP, FIFO, Configuration.empty(3), 1.0,
+                [0.5, t], RngStream(9))
 
     def test_unsampled_time_rejected(self):
         traj, _ = run(3, 2, 0.5, EXP, FIFO, Configuration.empty(3), 1.0,
