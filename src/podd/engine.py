@@ -311,12 +311,10 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     lengths = sysm.lengths
     kept = [(lo, hi, [], []) for lo, hi in views]
     emitted = []
-    si = 0
     end = math.nextafter(horizon, math.inf)   # samples < end are <= horizon
+    samples.append(math.inf)                  # a sentinel no cutoff exceeds
+    si, next_sample = 0, samples[0]
     next_arr = enext() / rate if rate > 0 else math.inf
-
-    samples.append(math.inf)
-    next_sample = samples[0]
 
     while True:
         while heap and heap[0][3] != ver[heap[0][1]]:
