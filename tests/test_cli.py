@@ -225,8 +225,9 @@ class TestClanCommand:
 class TestPinnedDigests:
     """sha256 of CSVs at fixed configs: a change that reorders the RNG stream
     or alters a rate by one ulp shows here, not only in a self-consistency
-    check within one checkout.  All N are below 64, so the clan digest also
-    predates the fix for clans past server 63.  The event-engine cases cover
+    check within one checkout.  The first clan case has every N below 64;
+    the second sets bits past server 63, where a clan mask outgrows one
+    machine word.  The event-engine cases cover
     every discipline, a non-exponential service law, a loaded initial
     state, the permutation path of candidate sampling (2D >= N), draw
     buffers crossing a chunk, the cavity's thinning and the coupled pair."""
@@ -249,6 +250,11 @@ class TestPinnedDigests:
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7},
          {"clan.csv":
           "72af74cd7c3205b4369f73846a0e00ebb3fc243c6519eb249d8532b900336cb5"}),
+        ("clan-past-bit-63",
+         {"kind": "clan", "N": [100, 200], "D": [2, 3], "lambda": [0.5],
+          "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 8},
+         {"clan.csv":
+          "8947f368e306ec92c63a3685c3bfbf1718cc13e0f1d8862b5404051594d7900e"}),
         ("simulate-ps-hyperexp",
          {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.9],
           "horizon": 250.0, "replications": 2, "seed": 21,
