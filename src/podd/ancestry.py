@@ -152,10 +152,12 @@ def _distinct_rows(gen, n_rows, N, D):
     if D > 1:
         s = np.sort(z, axis=1)
         bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-        while bad.any():
-            z[bad] = gen.integers(0, N, size=(int(bad.sum()), D))
+        n_bad = np.count_nonzero(bad)
+        while n_bad:
+            z[bad] = gen.integers(0, N, size=(n_bad, D))
             s = np.sort(z, axis=1)
             bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
+            n_bad = np.count_nonzero(bad)
     return z
 
 
@@ -168,12 +170,20 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
     exchangeability makes the tracked pair (0, 1) representative of any pair.
     """
     i, j = pair
+    if not 1 <= D <= N:
+        raise ValueError("need 1 <= D <= N")
+    if not (0 <= i < N and 0 <= j < N):
+        raise ValueError("pair indices must lie in range(N)")
     if i == j:
         raise ValueError("pair must be distinct")
     t_grid = tuple(sorted(t_grid))
+    if not t_grid:
+        raise ValueError("time grid must not be empty")
     ng = len(t_grid)
     gen = as_generator(rng)
     horizon = t_grid[-1]
+    starts = [horizon - t for t in t_grid]
+    bit = [1 << s for s in range(N)]
     sizes = np.empty((n_reps, ng))
     hits = np.empty((n_reps, ng))
     counts = gen.poisson(lam * N * horizon, size=n_reps)
@@ -181,18 +191,20 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
         n_arr = int(counts[r])
         times = (np.sort(gen.random(n_arr)) * horizon).tolist()
         zetas = _distinct_rows(gen, n_arr, N, D).tolist() if n_arr else []
-        a = 1 << i
-        b = 1 << j
+        a = bit[i]
+        b = bit[j]
         gi = 0
         for idx in range(n_arr - 1, -1, -1):
             tv = times[idx]
-            while gi < ng and tv < horizon - t_grid[gi]:
+            while gi < ng and tv < starts[gi]:
                 sizes[r, gi] = (a.bit_count() + b.bit_count()) / 2
                 hits[r, gi] = 1.0 if a & b else 0.0
                 gi += 1
             if gi >= ng:
                 break
-            z = _bits(zetas[idx])
+            z = 0
+            for s in zetas[idx]:
+                z |= bit[s]
             if a & z:
                 a |= z
             if b & z:

@@ -29,8 +29,7 @@ from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
                    discipline_from_name)
 from .engine import run
 from .estimators import (cov_mk, stationary_tail, z_value)
-from .rates import (BoundInputs, RELATIONS, RateInputs, adjusted_plus_one_inputs,
-                    asymptotic_tail, chaos_bound, chaos_bound_limit,
+from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail, chaos_bound, chaos_bound_limit,
                     clan_growth_factor, clan_intersection_bound,
                     clan_size_bound, closed_ratio, hyper_ratio,
                     limit_bound_is_valid, monotone_threshold, plus_one_ratio,
@@ -317,21 +316,24 @@ def _run_rates_check(spec, out_dir, workers):
         if not 1 <= d <= n or n < 2:
             continue
         lam_q = Fraction(lam).limit_denominator(10**6)
+        # checks n, d and the load once per cell: every row below has
+        # 0 <= pi_k1 < pi_k <= n, and so does its (n+1)-system occupancy
+        RateInputs(n, d, lam_q, n, 0)
         lam_p, lam_r = lam_q.numerator, lam_q.denominator
+        lam_s = _fmt(lam)
         ub_p, ub_q = uniform_bound_ratio(d)
-        thresh = monotone_threshold(d) if d >= 2 else 0
+        gate_above = d >= 2 and n >= monotone_threshold(d)
         for pi_k in range(1, n + 1):
             for pi_k1 in range(pi_k):
-                inp = RateInputs(n, d, lam_q, pi_k, pi_k1)
-                cp, cq = closed_ratio(inp)
-                hp, hq = hyper_ratio(inp)
+                cp, cq = closed_ratio(n, d, pi_k, pi_k1)
+                hp, hq = hyper_ratio(n, d, pi_k, pi_k1)
                 identity_ok = cp * hq == hp * cq
                 uniform_ok = cp * ub_q <= ub_p * cq
                 consistency_ok = True
                 mono = {}
-                for rel in RELATIONS:
-                    pp, pq = plus_one_ratio(inp, rel)
-                    ap, aq = closed_ratio(adjusted_plus_one_inputs(inp, rel))
+                for rel, (up_k, up_k1) in PLUS_ONE_SHIFT.items():
+                    pp, pq = plus_one_ratio(n, d, pi_k, pi_k1, rel)
+                    ap, aq = closed_ratio(n + 1, d, pi_k + up_k, pi_k1 + up_k1)
                     if ap * pq != pp * aq:
                         consistency_ok = False
                     mono[rel] = pp * cq >= cp * pq
@@ -339,13 +341,13 @@ def _run_rates_check(spec, out_dir, workers):
                 # and below relations can genuinely decrease the rate and are
                 # reported as columns instead
                 gated = identity_ok and uniform_ok and consistency_ok
-                if d >= 2 and n >= thresh:
+                if gate_above:
                     gated = gated and mono["above"]
                 if not gated:
                     failures += 1
                 # int / int is correctly rounded, as float(Fraction) is
-                rows.append([n, d, _fmt(lam), pi_k, pi_k1,
-                             _fmt(lam_p * cp / (lam_r * cq)), int(identity_ok),
+                rows.append([n, d, lam_s, pi_k, pi_k1,
+                             repr(lam_p * cp / (lam_r * cq)), int(identity_ok),
                              int(uniform_ok), int(consistency_ok),
                              int(mono["above"]), int(mono["equal"]),
                              int(not mono["below"])])
@@ -370,10 +372,11 @@ def _run_simulate(spec, out_dir, workers):
     traj_rows = []
     event_rows = []
     for (n, d, lam, r), (traj, log) in zip(meta, results):
-        for i, tv in enumerate(traj.times):
-            tc = traj.snapshots[i]
+        lam_s = _fmt(lam)
+        for tv, tc in zip(traj.times, traj.snapshots):
+            t_s = _fmt(float(tv))
             for k, pik in enumerate(tc.pi):
-                traj_rows.append([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik])
+                traj_rows.append([r, n, d, lam_s, t_s, k, pik])
         if spec.record_events:
             # event times are Python floats, so repr is what _fmt writes
             for ev in log.arrivals:

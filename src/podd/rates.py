@@ -3,7 +3,9 @@
 Every function here is a pure function of scalar inputs.  Each rate kernel
 reduces its combinatorial sum to one ratio of Python ints P/Q with Q > 0 (the
 1/i terms share the denominator lcm(1..d)), returned by its `*_ratio`
-function, so the rate is lam * P / Q.  Since lam > 0 scales both sides, two
+function, so the rate is lam * P / Q.  The `*_ratio` kernels take
+(n, d, pi_k, pi_k1) as ints and check nothing; the `arrival_rate_*` wrappers
+take a validated `RateInputs`.  Since lam > 0 scales both sides, two
 rates at one load compare exactly as P1 * Q2 against P2 * Q1.  A `Fraction`
 load gives the rate exactly, which the test suite uses as its
 arbitrary-precision oracle.  A float load gives lam * float(P/Q): the ratio
@@ -19,7 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-RELATIONS = ("below", "equal", "above")
+# Shift of (pi_k, pi_k1) when the (n+1)-th server is counted at its position
+# relative to the tagged level: below it, at it or above it.
+PLUS_ONE_SHIFT = {"below": (0, 0), "equal": (1, 0), "above": (1, 1)}
+RELATIONS = tuple(PLUS_ONE_SHIFT)
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,9 @@ def _scaled(lam, p: int, q: int):
     return lam * (p / q)    # int / int is correctly rounded
 
 
-def hyper_ratio(inp: RateInputs) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_hyper(inp)` = lam * P / Q."""
-    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
-    gap = inp.pi_k - pi_k1
+def hyper_ratio(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_hyper` = lam * P / Q; unchecked."""
+    gap = pi_k - pi_k1
     top = _lcm_upto(d)      # sum_i w_i / i = total / top
     total = 0
     for i in range(1, d + 1):
@@ -124,20 +128,18 @@ def hyper_ratio(inp: RateInputs) -> tuple[int, int]:
 def arrival_rate_hyper(inp: RateInputs):
     """Arrival rate to the tagged server, as the explicit sum over how many of
     the d sampled servers sit at the tagged level (hypergeometric weights)."""
-    return _scaled(inp.lam, *hyper_ratio(inp))
+    return _scaled(inp.lam, *hyper_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1))
 
 
-def closed_ratio(inp: RateInputs) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_closed(inp)` = lam * P / Q."""
-    n, d = inp.n, inp.d
-    num = comb(inp.pi_k, d) - comb(inp.pi_k1, d)
-    return n * num, comb(n, d) * (inp.pi_k - inp.pi_k1)
+def closed_ratio(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_closed` = lam * P / Q; unchecked."""
+    return n * (comb(pi_k, d) - comb(pi_k1, d)), comb(n, d) * (pi_k - pi_k1)
 
 
 def arrival_rate_closed(inp: RateInputs):
     """Same rate via the binomial-difference form, valid for every admissible
     occupancy under the convention C(n, r) = 0 outside 0 <= r <= n."""
-    return _scaled(inp.lam, *closed_ratio(inp))
+    return _scaled(inp.lam, *closed_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1))
 
 
 def uniform_bound_ratio(d: int) -> tuple[int, int]:
@@ -163,13 +165,12 @@ def monotone_threshold(d: int) -> int:
     return 3 * d - 4
 
 
-def plus_one_ratio(inp: RateInputs, relation: str) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_plus_one(inp, relation)` = lam * P / Q."""
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}")
-    n, d, pi_k1 = inp.n, inp.d, inp.pi_k1
-    gap = inp.pi_k - pi_k1
-    delta = comb(inp.pi_k, d) - comb(pi_k1, d)
+def plus_one_ratio(n: int, d: int, pi_k: int, pi_k1: int,
+                   relation: str) -> tuple[int, int]:
+    """(P, Q) with `arrival_rate_plus_one` = lam * P / Q; unchecked, and any
+    relation other than "below" or "above" is taken as "equal"."""
+    gap = pi_k - pi_k1
+    delta = comb(pi_k, d) - comb(pi_k1, d)
     if relation == "below":
         return (n - d + 1) * delta, comb(n, d) * gap
     top = _lcm_upto(d)      # E = extra / top
@@ -200,19 +201,23 @@ def arrival_rate_plus_one(inp: RateInputs, relation: str):
     C(pi_k1, d), gap g and extra sum E the rate is
     lam * (n-d+1) * (Delta/g + E) / C(n, d).
     """
-    return _scaled(inp.lam, *plus_one_ratio(inp, relation))
+    _require_relation(relation)
+    return _scaled(inp.lam, *plus_one_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1,
+                                            relation))
 
 
 def adjusted_plus_one_inputs(inp: RateInputs, relation: str) -> RateInputs:
     """Occupancy of the (n+1)-server system once the extra server is counted
     at its stated position relative to the tagged level."""
-    if relation == "above":
-        return RateInputs(inp.n + 1, inp.d, inp.lam, inp.pi_k + 1, inp.pi_k1 + 1)
-    if relation == "equal":
-        return RateInputs(inp.n + 1, inp.d, inp.lam, inp.pi_k + 1, inp.pi_k1)
-    if relation == "below":
-        return RateInputs(inp.n + 1, inp.d, inp.lam, inp.pi_k, inp.pi_k1)
-    raise ValueError(f"relation must be one of {RELATIONS}")
+    _require_relation(relation)
+    up_k, up_k1 = PLUS_ONE_SHIFT[relation]
+    return RateInputs(inp.n + 1, inp.d, inp.lam, inp.pi_k + up_k,
+                      inp.pi_k1 + up_k1)
+
+
+def _require_relation(relation: str):
+    if relation not in PLUS_ONE_SHIFT:
+        raise ValueError(f"relation must be one of {RELATIONS}")
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ class TestClanMonteCarlo:
             assert st.mean_size[i] <= clan_size_bound(inp) + st.size_ci[i]
             assert st.p_intersect[i] <= clan_intersection_bound(inp) + st.p_ci[i]
 
+    def test_more_samples_than_servers_rejected(self):
+        with pytest.raises(ValueError, match="D"):
+            clan_monte_carlo(2, 3, 0.5, (0.5,), 5, RngStream(1))
+
+    @pytest.mark.parametrize("pair", [(0, 10), (0, 12), (-1, 3)])
+    def test_pair_outside_servers_rejected(self, pair):
+        with pytest.raises(ValueError, match="range"):
+            clan_monte_carlo(10, 2, 0.5, (0.5,), 5, RngStream(1), pair=pair)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            clan_monte_carlo(10, 2, 0.5, (), 5, RngStream(1))
+
     def test_deterministic(self):
         a = clan_monte_carlo(15, 2, 0.5, (1.0,), 50, RngStream(28).child("det"))
         b = clan_monte_carlo(15, 2, 0.5, (1.0,), 50, RngStream(28).child("det"))

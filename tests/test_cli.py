@@ -110,9 +110,9 @@ class TestExitCodes:
         import podd.cli
         real = podd.cli.hyper_ratio
 
-        def skewed(inp):
-            p, q = real(inp)
-            return (p + 1, q) if (inp.pi_k, inp.pi_k1) == (4, 1) else (p, q)
+        def skewed(n, d, pi_k, pi_k1):
+            p, q = real(n, d, pi_k, pi_k1)
+            return (p + 1, q) if (pi_k, pi_k1) == (4, 1) else (p, q)
 
         monkeypatch.setattr(podd.cli, "hyper_ratio", skewed)
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6],
@@ -123,6 +123,61 @@ class TestExitCodes:
             bad = [(r["pi_k"], r["pi_k1"]) for r in csv.DictReader(fh)
                    if r["identity_ok"] != "1"]
         assert bad == [("4", "1")]
+
+    def test_rates_check_plus_one_skew_is_1(self, tmp_path, monkeypatch):
+        # one unit more in one relation's (n+1)-system numerator, on one row
+        # of one cell, must fail that row's consistency and no other
+        import podd.cli
+        real = podd.cli.plus_one_ratio
+
+        def skewed(n, d, pi_k, pi_k1, relation):
+            p, q = real(n, d, pi_k, pi_k1, relation)
+            hit = (n, pi_k, pi_k1, relation) == (6, 4, 1, "equal")
+            return (p + 1, q) if hit else (p, q)
+
+        monkeypatch.setattr(podd.cli, "plus_one_ratio", skewed)
+        cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6, 7],
+                                      "D": [3], "lambda": [0.3], "seed": 1})
+        out = tmp_path / "rc"
+        assert main(["rates-check", "--config", cfg, "--out", str(out)]) == 1
+        with open(out / "rates_check.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        bad = [(r["N"], r["pi_k"], r["pi_k1"]) for r in rows
+               if r["consistency_ok"] != "1"]
+        assert bad == [("6", "4", "1")]
+        assert all(r["identity_ok"] == "1" for r in rows)
+
+    def test_rates_check_uniform_bound_is_tight_at_d1(self, tmp_path,
+                                                       monkeypatch):
+        # at d = 1 every rate equals lam, which is also the bound: the clean
+        # grid passes only if the check is <=, and one unit less in the
+        # bound's numerator fails exactly the D = 1 rows
+        import podd.cli
+        cfg = write_config(tmp_path, {"kind": "rates-check", "N": [5, 8],
+                                      "D": [1, 2], "lambda": [0.3], "seed": 1})
+
+        def uniform_column(out):
+            code = main(["rates-check", "--config", cfg, "--out", str(out)])
+            with open(out / "rates_check.csv") as fh:
+                return code, [(r["D"], r["uniform_ok"])
+                              for r in csv.DictReader(fh)]
+
+        code, clean = uniform_column(tmp_path / "clean")
+        assert code == 0
+        assert {d for d, _ in clean} == {"1", "2"}
+        assert all(ok == "1" for _, ok in clean)
+
+        real = podd.cli.uniform_bound_ratio
+
+        def lowered(d):
+            p, q = real(d)
+            return (p - 1, q) if d == 1 else (p, q)
+
+        monkeypatch.setattr(podd.cli, "uniform_bound_ratio", lowered)
+        code, skewed = uniform_column(tmp_path / "skew")
+        assert code == 1
+        assert [ok for _, ok in skewed] == [
+            "0" if d == "1" else "1" for d, _ in clean]
 
 
 class TestBounds:
