@@ -29,7 +29,8 @@ from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
                    discipline_from_name)
 from .engine import run
 from .estimators import (cov_mk, stationary_tail, z_value)
-from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail, chaos_bound, chaos_bound_limit,
+from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail,
+                    chaos_bound, chaos_bound_limit,
                     clan_growth_factor, clan_intersection_bound,
                     clan_size_bound, closed_ratio, hyper_ratio,
                     limit_bound_is_valid, monotone_threshold, plus_one_ratio,
