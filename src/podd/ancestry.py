@@ -152,12 +152,10 @@ def _distinct_rows(gen, n_rows, N, D):
     if D > 1:
         s = np.sort(z, axis=1)
         bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-        n_bad = np.count_nonzero(bad)
-        while n_bad:
-            z[bad] = gen.integers(0, N, size=(n_bad, D))
+        while bad.any():
+            z[bad] = gen.integers(0, N, size=(int(bad.sum()), D))
             s = np.sort(z, axis=1)
             bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-            n_bad = np.count_nonzero(bad)
     return z
 
 

@@ -9,7 +9,10 @@ the distance between the quartiles of the parent's runs, and how many pairs
 the change won.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \\
-        exact=801-810 long-run=811-815 many-reps=821-825
+        exact=801-810 long-run=811-820 many-reps=821-830
+
+Every run gets `--seconds` SECONDS, on both sides.  Give each workload at least
+10 seeds: fewer pairs cannot support a claimed gain.
 
 Optional steps, each run once per side:
   --traced-seed S    `perfbench/run.py --trace 1` at seed S; every per-layer
@@ -32,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 30.0
 
 # Run in a checkout: the sha256 of every CSV that the workload's configs
 # write at each seed, in process and at one worker.
@@ -74,10 +78,10 @@ def unpack(rev: str, dest: Path) -> str:
     return short
 
 
-def bench(copy: Path, workload: str, seed: int, seconds: float, trace: int):
+def bench(copy: Path, workload: str, seed: int, trace: int):
     """One perfbench run in `copy`: its JSON result line and run context."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds),
+            "--seed", str(seed), "--seconds", str(SECONDS),
             "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -116,14 +120,14 @@ def summarise(parent_runs, change_runs, better: str) -> dict:
             "change_runs": [round(v, 4) for v in change_runs]}
 
 
-def run_workload(sides, workload, seeds, seconds, better) -> dict:
+def run_workload(sides, workload, seeds, better) -> dict:
     runs = {"parent": [], "change": []}
     contexts = {"parent": [], "change": []}
     clean = True
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            result, context = bench(sides[side], workload, seed, seconds, 0)
+            result, context = bench(sides[side], workload, seed, 0)
             clean &= result["correct"] and result["failed"] == 0
             runs[side].append({k: v["value"]
                                for k, v in result["metrics"].items()})
@@ -145,8 +149,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--change", default="HEAD", help="git revision of the change")
-    p.add_argument("--seconds", type=float, default=30.0,
-                   help="--seconds of each perfbench run")
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     p.add_argument("--host", default=f"{os.cpu_count()}-CPU {platform.machine()}",
                    help="description of the machine, recorded as given")
@@ -168,7 +170,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"]
                   for m in doc["end_to_end"] + doc["per_layer"]}
         out = {"benchmark": "python3 perfbench/run.py --workload W --seed S "
-                            f"--seconds {args.seconds:g} --trace 0",
+                            f"--seconds {SECONDS:g} --trace 0",
                "parent": revs["parent"], "change": revs["change"],
                "host": args.host,
                "order": "pairs alternate which side runs first "
@@ -179,11 +181,11 @@ def main(argv=None) -> int:
                "workloads": {}}
         for workload, seeds in plan:
             out["workloads"][workload] = run_workload(
-                sides, workload, seeds, args.seconds, better)
+                sides, workload, seeds, better)
         if args.traced_seed is not None:
             traced = out[f"traced_seed_{args.traced_seed}"] = {}
             for workload, _ in plan:
-                res = {side: bench(path, workload, args.traced_seed, 0, 1)[0]
+                res = {side: bench(path, workload, args.traced_seed, 1)[0]
                        for side, path in sides.items()}
                 traced[workload] = {
                     name: {side: res[side]["metrics"][name]["value"]
