@@ -2,21 +2,18 @@
 
 __version__ = "0.1.0"
 
-from .core import (Configuration, Discipline, EmpiricalMeasure, FIFO, Job,
-                   LIFO_PR, PS, RngStream, ServerState, ServiceDistribution,
-                   TailCounts, discipline_from_name, empirical_measure,
-                   sample_service, tail_counts)
+from .core import (Configuration, Discipline, FIFO, LIFO_PR, PS, RngStream,
+                   ServiceDistribution, TailCounts, tail_counts)
 from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
                     arrival_rate_hyper, arrival_rate_plus_one,
                     asymptotic_tail, cavity_rate, chaos_bound,
                     chaos_bound_limit, clan_intersection_bound,
                     clan_size_bound, monotone_threshold, selection_sum,
                     tail_count_cov_bound, uniform_rate_bound)
-from .engine import (ArrivalEvent, EventLog, Trajectory, jsq_route, run,
+from .engine import (ArrivalEvent, EventLog, Trajectory, run,
                      sample_arrival_log, snapshot)
 from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo, clan_stats
 from .cavity import (CoupledPair, TailProfile, level_distribution,
                      mean_field_profile, run_cavity, run_coupled, tv_distance)
 from .estimators import (EstimateRow, FitResult, PairMoments, cov_mk, cov_pi,
-                         fit_exp_decay, pairwise_independence,
-                         stationary_tail, var_lambda_rate)
+                         fit_exp_decay, stationary_tail, var_lambda_rate)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Configuration, Discipline, RngStream, ServerState,
-                   ServiceDistribution, as_generator)
+from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
+                   as_generator)
 from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers, _drive,
                      _route, _sample_zeta, _System, run)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
@@ -171,7 +171,7 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
 
     sysm = _System(2 * N + 1, disc)
-    sysm.load(Configuration(init.queues * 2 + [ServerState()]))
+    sysm.load(Configuration(init.queues * 2 + [[]]))
     enext, unext, snext = _buffers(gen, dist)
     arrive, lengths = sysm.arrive, sysm.lengths
 

@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .ancestry import clan_monte_carlo
 from .cavity import TailProfile, level_distribution, run_cavity, run_coupled, tv_distance
-from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
-                   discipline_from_name)
+from .core import Configuration, Discipline, RngStream, ServiceDistribution
 from .engine import run
-from .estimators import (cov_mk, stationary_tail, z_value)
+from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
+                         stationary_tail, z_value)
 from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail,
                     chaos_bound, chaos_bound_limit,
                     clan_growth_factor, clan_intersection_bound,
@@ -71,40 +71,127 @@ class ExperimentSpec:
     record_events: bool = False
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "seed": self.seed}
-        req, opt = _SCHEMAS[self.kind]
-        for key in (*req, *opt):
-            if key == "seed":
-                continue
-            doc[key] = _FIELD_ENCODE[key](self)
+        doc = {"kind": self.kind}
+        for key in itertools.chain(*_SCHEMAS[self.kind]):
+            attr, _, encode = _FIELDS[key]
+            doc[key] = encode(getattr(self, attr))
         return doc
 
 
-def _int_list(v, path):
-    if not isinstance(v, list) or not v or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in v):
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return tuple(v)
+def _exact_load(lam) -> Fraction:
+    """The load as rates-check computes with it."""
+    return Fraction(lam).limit_denominator(10**6)
 
 
-def _real_list(v, path):
+# Field parsers take the JSON value and the experiment kind, and raise
+# ValueError saying what is wrong; parse_config prefixes the key.
+
+def _ints(lo, what):
+    def parse(v, kind):
+        if not isinstance(v, list) or not v or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in v):
+            raise ValueError("expected a non-empty list of integers")
+        if any(x < lo for x in v):
+            raise ValueError(f"{what} must be >= {lo}")
+        return tuple(v)
+    return parse
+
+
+def _int_from(lo, **kind_lo):
+    """An integer >= lo, or >= kind_lo[kind] for the kinds named there."""
+    def parse(v, kind):
+        least = kind_lo.get(kind, lo)
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"{kind} needs an integer >= {least}")
+        return v
+    return parse
+
+
+def _reals(v, kind):
     if not isinstance(v, list) or not v or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x) for x in v):
+        raise ValueError("expected a non-empty list of finite numbers")
     return tuple(float(x) for x in v)
 
 
-def _positive_real(v, path):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-        raise ConfigError(f"{path}: expected a positive number")
+def _loads(v, kind):
+    lams = _reals(v, kind)
+    if any(not 0 < x < 1 for x in lams):
+        raise ValueError("loads must lie strictly in (0, 1)")
+    if kind == "rates-check" and any(not 0 < _exact_load(x) < 1 for x in lams):
+        raise ValueError("rates-check rounds a load to 0 or 1 (denominator <= 10**6)")
+    return lams
+
+
+def _times(v, kind):
+    ts = _reals(v, kind)
+    if any(x < 0 for x in ts):
+        raise ValueError("times must be non-negative")
+    if kind in ("chaos", "tagged") and 0.0 in ts:
+        raise ValueError(f"{kind} runs up to each time, which must be positive")
+    return ts
+
+
+def _positive_real(v, kind):
+    if (not isinstance(v, (int, float)) or isinstance(v, bool)
+            or not 0 < v < math.inf):
+        raise ValueError("expected a finite positive number")
     return float(v)
 
 
-def _positive_int(v, path):
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{path}: expected a positive integer")
+def _or_none(parse):
+    return lambda v, kind: None if v is None else parse(v, kind)
+
+
+def _flag(v, kind):
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false")
     return v
 
+
+def _service(v, kind):
+    if not isinstance(v, dict):
+        raise ValueError("expected an object")
+    try:
+        return ServiceDistribution.from_json(v)
+    except (KeyError, TypeError) as e:
+        raise ValueError(e) from None
+
+
+def _init_profile(v, kind):
+    if v not in INIT_PROFILES:
+        raise ValueError(f"expected one of {INIT_PROFILES}")
+    return v
+
+
+def _same(v):
+    return v
+
+
+# config key -> (ExperimentSpec attribute, parser, encoder to JSON)
+_FIELDS = {
+    "seed": ("seed", _int_from(0), _same),
+    "N": ("N", _ints(1, "system sizes"), list),
+    "D": ("D", _ints(1, "sample sizes"), list),
+    "lambda": ("lam", _loads, list),
+    "t": ("t", _times, list),
+    "k": ("k", _ints(0, "levels"), list),
+    "l": ("l", _ints(0, "levels"), list),
+    "service": ("service", _service, ServiceDistribution.to_json),
+    "discipline": ("discipline", lambda v, kind: Discipline(v),
+                   lambda disc: disc.kind),
+    "init": ("init", _init_profile, _same),
+    "replications": ("replications",
+                     _int_from(1, chaos=MIN_REPLICATIONS), _same),
+    "horizon": ("horizon", _positive_real, _same),
+    "warmup": ("warmup", _or_none(_positive_real), _same),
+    "n_batches": ("n_batches", _int_from(MIN_BATCHES), _same),
+    "k_max": ("k_max", _int_from(1), _same),
+    "sample_times": ("sample_times", _or_none(_reals),
+                     lambda ts: None if ts is None else list(ts)),
+    "record_events": ("record_events", _flag, _same),
+}
 
 # (required keys, optional keys) per experiment kind
 _SCHEMAS = {
@@ -122,26 +209,6 @@ _SCHEMAS = {
                    ("service", "discipline", "warmup", "n_batches", "k_max")),
     "coupled": (("N", "D", "lambda", "horizon", "replications", "seed"),
                 ("service", "discipline", "init")),
-}
-
-_FIELD_ENCODE = {
-    "N": lambda s: list(s.N),
-    "D": lambda s: list(s.D),
-    "lambda": lambda s: list(s.lam),
-    "t": lambda s: list(s.t),
-    "k": lambda s: list(s.k),
-    "l": lambda s: list(s.l),
-    "service": lambda s: s.service.to_json(),
-    "discipline": lambda s: s.discipline.kind,
-    "init": lambda s: s.init,
-    "replications": lambda s: s.replications,
-    "horizon": lambda s: s.horizon,
-    "warmup": lambda s: s.warmup,
-    "n_batches": lambda s: s.n_batches,
-    "k_max": lambda s: s.k_max,
-    "sample_times": lambda s: (list(s.sample_times)
-                               if s.sample_times is not None else None),
-    "record_events": lambda s: s.record_events,
 }
 
 
@@ -179,63 +246,19 @@ def parse_config(text, kind: str | None = None) -> ExperimentSpec:
         if key not in doc:
             raise ConfigError(f"{key}: missing")
 
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool) or doc["seed"] < 0:
-        raise ConfigError("seed: expected a non-negative integer")
-    out = {"kind": doc_kind, "seed": doc["seed"]}
-
-    if "N" in doc:
-        out["N"] = _int_list(doc["N"], "N")
-        if any(n < 1 for n in out["N"]):
-            raise ConfigError("N: system sizes must be >= 1")
-    if "D" in doc:
-        out["D"] = _int_list(doc["D"], "D")
-        if any(d < 1 for d in out["D"]):
-            raise ConfigError("D: sample sizes must be >= 1")
-    if "lambda" in doc:
-        out["lam"] = _real_list(doc["lambda"], "lambda")
-        if any(not 0 < v < 1 for v in out["lam"]):
-            raise ConfigError("lambda: loads must lie strictly in (0, 1)")
-    if "t" in doc:
-        out["t"] = _real_list(doc["t"], "t")
-        if any(v < 0 for v in out["t"]):
-            raise ConfigError("t: times must be non-negative")
-    if "k" in doc:
-        out["k"] = _int_list(doc["k"], "k")
-    if "l" in doc:
-        out["l"] = _int_list(doc["l"], "l")
-    if "horizon" in doc:
-        out["horizon"] = _positive_real(doc["horizon"], "horizon")
-    if "replications" in doc:
-        out["replications"] = _positive_int(doc["replications"], "replications")
-    if "n_batches" in doc:
-        out["n_batches"] = _positive_int(doc["n_batches"], "n_batches")
-    if "k_max" in doc:
-        out["k_max"] = _positive_int(doc["k_max"], "k_max")
-    if "warmup" in doc and doc["warmup"] is not None:
-        out["warmup"] = _positive_real(doc["warmup"], "warmup")
-    if "sample_times" in doc and doc["sample_times"] is not None:
-        out["sample_times"] = _real_list(doc["sample_times"], "sample_times")
-        if any(not 0 <= v <= out["horizon"] for v in out["sample_times"]):
-            raise ConfigError("sample_times: times must lie in [0, horizon]")
-    if "record_events" in doc:
-        if not isinstance(doc["record_events"], bool):
-            raise ConfigError("record_events: expected true or false")
-        out["record_events"] = doc["record_events"]
-    if "service" in doc:
-        try:
-            out["service"] = ServiceDistribution.from_json(doc["service"])
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"service: {e}") from None
-    if "discipline" in doc:
-        try:
-            out["discipline"] = discipline_from_name(doc["discipline"])
-        except ValueError as e:
-            raise ConfigError(f"discipline: {e}") from None
-    if "init" in doc:
-        if doc["init"] not in INIT_PROFILES:
-            raise ConfigError(f"init: expected one of {INIT_PROFILES}")
-        out["init"] = doc["init"]
-    return ExperimentSpec(**out)
+    out = {"kind": doc_kind}
+    for key in (*required, *optional):
+        if key in doc:
+            attr, parse, _ = _FIELDS[key]
+            try:
+                out[attr] = parse(doc[key], doc_kind)
+            except ValueError as e:
+                raise ConfigError(f"{key}: {e}") from None
+    spec = ExperimentSpec(**out)
+    if spec.sample_times is not None and any(
+            not 0 <= v <= spec.horizon for v in spec.sample_times):
+        raise ConfigError("sample_times: times must lie in [0, horizon]")
+    return spec
 
 
 def _init_config(profile: str, n: int, lam: float, dist, rng: RngStream) -> Configuration:
@@ -316,7 +339,7 @@ def _run_rates_check(spec, out_dir, workers):
     for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
         if not 1 <= d <= n or n < 2:
             continue
-        lam_q = Fraction(lam).limit_denominator(10**6)
+        lam_q = _exact_load(lam)
         # checks n, d and the load once per cell: every row below has
         # 0 <= pi_k1 < pi_k <= n, and so does its (n+1)-system occupancy
         RateInputs(n, d, lam_q, n, 0)
@@ -604,8 +627,6 @@ def main(argv=None) -> int:
             text = fh.read()
         spec = parse_config(text, kind=args.kind)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: expected a non-negative integer")
             spec = parse_config({**spec.to_json(), "seed": args.seed},
                                 kind=args.kind)
         workers = _resolve_workers(args)

@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-MEAN_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Randomness
@@ -54,38 +51,9 @@ def as_generator(rng) -> np.random.Generator:
 # System state
 # ---------------------------------------------------------------------------
 
-class Job:
-    """A task in a queue: remaining work (mean-1 scale) plus bookkeeping."""
-
-    __slots__ = ("id", "residual", "arrived_at")
-
-    def __init__(self, id: int, residual: float, arrived_at: float):
-        if residual <= 0:
-            raise ValueError("job residual must be positive")
-        self.id = id
-        self.residual = residual
-        self.arrived_at = arrived_at
-
-    def __repr__(self):
-        return f"Job(id={self.id}, residual={self.residual:.6g}, arrived_at={self.arrived_at:.6g})"
-
-
-class ServerState:
-    """One server's queue, in arrival order.  Discipline-specific orderings
-    (head-of-line, latest arrival, equal shares) are derived when needed and
-    never stored separately."""
-
-    __slots__ = ("jobs",)
-
-    def __init__(self, jobs=None):
-        self.jobs = list(jobs) if jobs else []
-
-    def __len__(self):
-        return len(self.jobs)
-
-
 class Configuration:
-    """Queue-length state of the N-server system, with per-job residual work."""
+    """Initial state of the N-server system: for each server, the residual
+    work of its jobs in arrival order."""
 
     __slots__ = ("queues", "N")
 
@@ -98,35 +66,30 @@ class Configuration:
 
     @classmethod
     def empty(cls, n: int) -> "Configuration":
-        return cls([ServerState() for _ in range(n)])
+        return cls([[] for _ in range(n)])
 
     @classmethod
     def from_lengths(cls, lengths, dist=None, rng=None) -> "Configuration":
         """Build a configuration with the given queue lengths.  Initial jobs
         need residual work; it is drawn from `dist` (required when any queue
-        is non-empty)."""
+        is non-empty), server by server."""
         lengths = list(lengths)
         total = sum(lengths)
         if total > 0 and (dist is None or rng is None):
             raise ValueError("non-empty initial queues need a service distribution and rng")
         gen = as_generator(rng) if rng is not None else None
         queues = []
-        next_id = 0
         for ln in lengths:
             if ln < 0:
                 raise ValueError("queue lengths must be non-negative")
-            jobs = []
-            for _ in range(ln):
-                jobs.append(Job(next_id, float(dist.sample(gen)), 0.0))
-                next_id += 1
-            queues.append(ServerState(jobs))
+            queue = [float(dist.sample(gen)) for _ in range(ln)]
+            if any(r <= 0 for r in queue):
+                raise ValueError("job residual must be positive")
+            queues.append(queue)
         return cls(queues)
 
     def lengths(self):
         return [len(q) for q in self.queues]
-
-    def max_length(self) -> int:
-        return max(len(q) for q in self.queues)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +110,6 @@ class TailCounts:
         return self.pi[k] if k < len(self.pi) else 0
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """m[k] = fraction of servers holding exactly k jobs."""
-
-    m: tuple
-
-
 def tail_counts_from_lengths(lengths, k_max: int) -> TailCounts:
     counts = np.bincount(lengths, minlength=k_max + 1)
     tail = np.flip(np.cumsum(np.flip(counts)))
@@ -165,22 +121,6 @@ def tail_counts(config: Configuration, k_max: int) -> TailCounts:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     return tail_counts_from_lengths(config.lengths(), k_max)
-
-
-def empirical_measure(config: Configuration, k_max: int) -> EmpiricalMeasure:
-    """Fraction of servers at each queue length, k = 0..k_max.
-
-    Raises if k_max would truncate occupied levels, so tails are never
-    silently biased; enlarge k_max instead.
-    """
-    top = config.max_length()
-    if k_max < top:
-        raise ValueError(
-            f"k_max={k_max} truncates occupied levels (max queue length {top})")
-    tc = tail_counts(config, k_max + 1)
-    n = config.N
-    m = tuple((tc.pi[k] - tc.get(k + 1)) / n for k in range(k_max + 1))
-    return EmpiricalMeasure(m)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +300,6 @@ class ServiceDistribution:
         raise ValueError(f"unknown service distribution kind {kind!r}")
 
 
-def sample_service(dist: ServiceDistribution, rng) -> float:
-    """Draw one service time from a mean-1 distribution."""
-    return float(dist.sample(as_generator(rng)))
-
-
 # ---------------------------------------------------------------------------
 # Scheduling disciplines
 # ---------------------------------------------------------------------------
@@ -392,6 +327,3 @@ FIFO = Discipline("FIFO")
 PS = Discipline("PS")
 LIFO_PR = Discipline("LIFO_PR")
 
-
-def discipline_from_name(name: str) -> Discipline:
-    return Discipline(name)

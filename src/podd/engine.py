@@ -103,14 +103,6 @@ def _route(lengths, zeta, u):
     return ties[int(u() * len(ties))]
 
 
-def jsq_route(config: Configuration, zeta, rng) -> int:
-    """Index of the shortest queue within the sampled set, ties uniform."""
-    gen = as_generator(rng)
-    lengths = config.lengths()
-    ubuf = _Buffer(lambda: gen.random(8))
-    return _route(lengths, tuple(zeta), ubuf.next)
-
-
 class _System:
     """Mutable queue state of one system plus its departure schedule.
 
@@ -136,11 +128,12 @@ class _System:
         self.seq = 0
 
     def load(self, config: Configuration):
-        """Queue the jobs of `config` on this empty system at time 0."""
+        """Queue copies of `config`'s residual lists on this empty system at
+        time 0."""
         for s, q in enumerate(config.queues):
-            if q.jobs:
-                self.jobs[s] = [job.residual for job in q.jobs]
-                self.lengths[s] = len(q.jobs)
+            if q:
+                self.jobs[s] = list(q)
+                self.lengths[s] = len(q)
                 self._schedule(s, 0.0)
 
     def next_departure(self):

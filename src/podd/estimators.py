@@ -20,6 +20,7 @@ from .rates import _split_sum
 
 Z_VALUES = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 MIN_REPLICATIONS = 30
+MIN_BATCHES = 20
 
 
 def z_value(level: float) -> float:
@@ -38,11 +39,6 @@ class EstimateRow:
     half_width: float
     level: float
     count: int
-
-    def to_csv_fields(self, keys):
-        vals = [self.params.get(k, "") for k in keys]
-        return [self.name, *vals, repr(self.estimate), repr(self.half_width),
-                self.level, self.count]
 
 
 @dataclass
@@ -202,8 +198,8 @@ def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
     The trajectory must be sampled on an (approximately) even grid; samples
     before `warmup` are discarded and the rest split into contiguous batches.
     """
-    if n_batches < 20:
-        raise ValueError("need at least 20 batches")
+    if n_batches < MIN_BATCHES:
+        raise ValueError(f"need at least {MIN_BATCHES} batches")
     keep = np.nonzero(traj.times >= warmup)[0]
     if keep.size < n_batches:
         raise ValueError("horizon too short for the requested warm-up and batches")
@@ -219,26 +215,6 @@ def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
         rows.append(EstimateRow("stationary_tail", {"N": n_servers, "k": k},
                                 est, hw, level, n_batches))
     return rows
-
-
-def pairwise_independence(final_lengths, k: int, l: int,
-                          level: float = 0.95) -> EstimateRow:
-    """|P(X(1) >= k, X(2) >= l) - P(X(1) >= k) P(X(2) >= l)| across
-    replications, from the final queue-length vectors."""
-    if len(final_lengths) < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    a = np.asarray([int(v[0] >= k) for v in final_lengths])
-    b = np.asarray([int(v[1] >= l) for v in final_lengths])
-    n = a.size
-    pj = float((a & b).mean())
-    pa = float(a.mean())
-    pb = float(b.mean())
-    est = abs(pj - pa * pb)
-    # delta-method spread of the per-replication contribution
-    x = (a & b).astype(float) - pb * a - pa * b + 2 * pa * pb
-    hw = z_value(level) * float(x.std(ddof=1)) / math.sqrt(n)
-    return EstimateRow("pairwise_independence", {"k": k, "l": l},
-                       est, hw, level, n)
 
 
 @dataclass(frozen=True)

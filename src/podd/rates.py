@@ -255,13 +255,11 @@ def _log_bracket(inp: BoundInputs) -> float:
     return n * math.log((n + u - 1.0) / n) - (n - 1.0) * (u - 1.0) / (n + u - 1.0)
 
 
-def clan_intersection_bound(inp: BoundInputs, proof_variant: bool = False) -> float:
+def clan_intersection_bound(inp: BoundInputs) -> float:
     """Upper bound on the probability that the influence clans of two distinct
-    servers overlap.  `proof_variant` swaps the n/(n-d) prefactor for the
-    slightly tighter (n-1)/(n-d) one for comparison."""
+    servers overlap."""
     _require_room(inp)
-    top = (inp.n - 1.0) if proof_variant else float(inp.n)
-    return (1.5 ** inp.d) * top / (inp.n - inp.d) * _log_bracket(inp)
+    return (1.5 ** inp.d) * float(inp.n) / (inp.n - inp.d) * _log_bracket(inp)
 
 
 def chaos_bound(inp: BoundInputs) -> float:

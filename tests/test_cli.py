@@ -60,6 +60,14 @@ class TestParseConfig:
                "horizon": 2.0, "seed": 4, "sample_times": [0, 2.0]}
         assert parse_config(doc).sample_times == (0.0, 2.0)
 
+    @pytest.mark.parametrize("field", ["k", "l"])
+    def test_negative_level_rejected(self, field):
+        doc = {"kind": "chaos", "N": [10], "D": [2], "lambda": [0.5],
+               "t": [1.0], "k": [1], "l": [1], "replications": 30, "seed": 1,
+               field: [-1]}
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config(doc)
+
     def test_round_trip(self):
         docs = [
             MINIMAL_BOUNDS,
@@ -88,6 +96,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert "sample_times" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # configs that parse_config accepted but a driver then refused with a
+    # ValueError traceback (exit 1)
+    CHAOS = {"kind": "chaos", "N": [10], "D": [2], "lambda": [0.5],
+             "t": [1.0], "k": [1], "l": [1], "replications": 30, "seed": 1}
+
+    @pytest.mark.parametrize("doc,field", [
+        ({**CHAOS, "replications": 29}, "replications"),
+        ({**CHAOS, "t": [0.0, 1.0]}, "t"),
+        ({"kind": "tagged", "N": [10], "D": [2], "lambda": [0.5], "t": [0],
+          "replications": 30, "seed": 1}, "t"),
+        ({"kind": "stationary", "N": [10], "D": [2], "lambda": [0.5],
+          "horizon": 50.0, "n_batches": 19, "seed": 1}, "n_batches"),
+        ({"kind": "rates-check", "N": [3], "D": [2], "lambda": [0.9999999],
+          "seed": 1}, "lambda"),
+    ], ids=["chaos-replications", "chaos-t-zero", "tagged-t-zero",
+            "stationary-n-batches", "rates-check-load-rounds-to-1"])
+    def test_driver_refusal_is_2(self, tmp_path, capsys, doc, field):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([doc["kind"], "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2

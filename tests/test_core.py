@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podd.core import (Configuration, Discipline, FIFO, Job, LIFO_PR, PS,
-                       RngStream, ServerState, ServiceDistribution,
-                       discipline_from_name, empirical_measure,
-                       sample_service, tail_counts)
+from podd.core import (Configuration, Discipline, FIFO, LIFO_PR, PS,
+                       RngStream, ServiceDistribution, tail_counts)
 
 
 def config_from_lengths(lengths):
@@ -45,35 +43,30 @@ class TestTailCounts:
         assert tc.pi[0] == len(lengths)
         assert all(a >= b for a, b in zip(tc.pi, tc.pi[1:]))
 
-
-class TestEmpiricalMeasure:
-    def test_all_empty(self):
-        m = empirical_measure(Configuration.empty(3), 2).m
-        assert m == (1.0, 0.0, 0.0)
-
-    def test_hand_values(self):
-        m = empirical_measure(config_from_lengths([3, 1, 2]), 3).m
-        assert m == (0.0, 1 / 3, 1 / 3, 1 / 3)
-
-    def test_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_measure(config_from_lengths([5, 0]), 3)
-
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=15))
-    def test_partition(self, lengths):
-        cfg = config_from_lengths(lengths)
-        m = empirical_measure(cfg, 6).m
-        assert math.isclose(sum(m), 1.0, abs_tol=1e-12)
-        tc = tail_counts(cfg, 7)
-        # integer identity: pi_k - pi_{k+1} = N * m_k
-        for k, mk in enumerate(m):
-            assert tc.get(k) - tc.get(k + 1) == round(cfg.N * mk)
+    def test_level_counts(self, lengths):
+        # integer identity: pi_k - pi_{k+1} is the number of servers at level k
+        tc = tail_counts(config_from_lengths(lengths), 7)
+        for k in range(8):
+            assert tc.get(k) - tc.get(k + 1) == lengths.count(k)
 
 
 class TestJobs:
     def test_residual_positive(self):
-        with pytest.raises(ValueError):
-            Job(0, 0.0, 0.0)
+        class Zero:
+            def sample(self, gen):
+                return 0.0
+
+        with pytest.raises(ValueError, match="residual must be positive"):
+            Configuration.from_lengths([0, 1], Zero(), RngStream(0))
+
+    def test_residuals_drawn_server_by_server(self):
+        dist = ServiceDistribution.exponential()
+        cfg = Configuration.from_lengths([2, 0, 1], dist, RngStream(3))
+        gen = RngStream(3).generator()
+        want = [float(dist.sample(gen)) for _ in range(3)]
+        assert cfg.queues == [want[:2], [], want[2:]]
+        assert cfg.lengths() == [2, 0, 1]
 
     def test_config_needs_dist_for_jobs(self):
         with pytest.raises(ValueError):
@@ -98,7 +91,7 @@ class TestServiceDistributions:
 
     def test_deterministic_is_exact(self):
         d = ServiceDistribution.deterministic()
-        assert sample_service(d, RngStream(1)) == 1.0
+        assert d.sample(RngStream(1).generator()) == 1.0
 
     def test_exponential_sample_mean(self):
         gen = RngStream(11).child("mean").generator()
@@ -162,7 +155,7 @@ class TestRngStream:
 
 class TestDiscipline:
     def test_known_kinds(self):
-        assert discipline_from_name("PS") == PS
+        assert Discipline("PS") == PS
         assert FIFO.kind == "FIFO" and LIFO_PR.kind == "LIFO_PR"
 
     def test_unknown_kind(self):

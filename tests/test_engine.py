@@ -5,8 +5,8 @@ import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution, tail_counts)
-from podd.engine import (_CHUNK, jsq_route, run, sample_arrival_log, snapshot,
-                         _Buffer, _System)
+from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
+                         _Buffer, _route, _System)
 from podd.rates import RateInputs, arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
@@ -18,20 +18,22 @@ def config_from_lengths(lengths, seed=0):
 
 
 class TestRouting:
+    def _uniform(self, seed):
+        gen = RngStream(seed).generator()
+        return _Buffer(lambda: gen.random(8)).next
+
     def test_unique_minimum(self):
-        cfg = config_from_lengths([3, 1, 2])
-        assert jsq_route(cfg, (0, 1), RngStream(1)) == 1
-        assert jsq_route(cfg, (0, 2), RngStream(1)) == 2
+        lengths = [3, 1, 2]
+        assert _route(lengths, (0, 1), self._uniform(1)) == 1
+        assert _route(lengths, (0, 2), self._uniform(1)) == 2
 
     def test_singleton(self):
-        cfg = config_from_lengths([3, 1, 2])
-        assert jsq_route(cfg, (0,), RngStream(1)) == 0
+        assert _route([3, 1, 2], (0,), self._uniform(1)) == 0
 
     def test_tie_frequencies(self):
-        cfg = config_from_lengths([2, 2])
-        gen = RngStream(2).child("ties").generator()
+        u = self._uniform(2)
         n = 10**5
-        hits = sum(jsq_route(cfg, (0, 1), gen) for _ in range(n))
+        hits = sum(_route([2, 2], (0, 1), u) for _ in range(n))
         # fair coin: 3 sigma band around n/2
         assert abs(hits - n / 2) < 3 * math.sqrt(n / 4)
 

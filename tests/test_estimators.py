@@ -8,7 +8,7 @@ import pytest
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
 from podd.estimators import (EstimateRow, FitResult, PairMoments, cov_mk,
-                             cov_pi, fit_exp_decay, pairwise_independence,
+                             cov_pi, fit_exp_decay,
                              stationary_tail, tagged_rate_from_counts,
                              var_lambda_rate, z_value)
 from podd.rates import RateInputs, arrival_rate_closed
@@ -202,26 +202,6 @@ class TestStationaryTail:
             stationary_tail(traj, warmup=1.9, n_batches=20)
         with pytest.raises(ValueError):
             stationary_tail(traj, warmup=0.0, n_batches=5)
-
-
-class TestPairwiseIndependence:
-    def test_level_zero_exact(self):
-        finals = [np.array([2, 0, 1]), np.array([0, 1, 0])] * 20
-        row = pairwise_independence(finals, 0, 1)
-        assert row.estimate == pytest.approx(0.0)
-
-    def test_decreasing_in_n(self):
-        vals = []
-        for n in (20, 80):
-            root = RngStream(60)
-            finals = []
-            for r in range(400):
-                traj, _ = run(n, 2, 0.6, EXP, FIFO, Configuration.empty(n),
-                              8.0, [], root.child(f"pi{n}", r),
-                              record_events=False)
-                finals.append(traj.final_lengths)
-            vals.append(pairwise_independence(finals, 1, 1).estimate)
-        assert vals[1] < vals[0] + 0.05
 
 
 class TestFitExpDecay:

@@ -245,12 +245,6 @@ class TestClanBounds:
                 for n in (100, 1000, 10000)]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_proof_variant_tighter(self):
-        loose = clan_intersection_bound(self.B)
-        tight = clan_intersection_bound(self.B, proof_variant=True)
-        assert tight < loose
-        assert math.isclose(tight / loose, 99 / 100, rel_tol=1e-12)
-
     def test_needs_room(self):
         with pytest.raises(ValueError):
             clan_size_bound(BoundInputs(3, 3, 0.5, 1.0))

@@ -1,0 +1,34 @@
+"""The benchmark's tracer (perfbench/spans.py) patches podd functions by name
+and reads the initial configuration a run was given.  This checks that every
+name it patches still exists and that a traced run still works, so a rename in
+`src/podd/` cannot break `perfbench/run.py --trace 1` unnoticed."""
+import importlib.util
+from pathlib import Path
+
+import podd.cli
+from podd.core import FIFO, Configuration, RngStream, ServiceDistribution
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    tracer = load_spans().Tracer()
+    run = podd.cli.run
+    with tracer.installed():
+        assert Configuration.empty(3).lengths() == [0, 0, 0]
+        init = Configuration.from_lengths(
+            [1, 0, 2], ServiceDistribution.deterministic(), RngStream(1))
+        traj, log = podd.cli.run(3, 2, 0.5, ServiceDistribution.exponential(),
+                                 FIFO, init, 1.0, [1.0], RngStream(2))
+    assert podd.cli.run is run
+    assert tracer.stats["core.init"].calls == 2
+    assert tracer.counts["engine.arrivals"] == log.n_arrivals
+    assert tracer.counts["engine.departures"] == (
+        log.n_arrivals + 3 - int(traj.final_lengths.sum()))
