@@ -97,8 +97,8 @@ class TestExitCodes:
         assert "sample_times" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # configs that parse_config accepted but a driver then refused with a
-    # ValueError traceback (exit 1)
+    # configs that parse_config used to accept and a driver then refused
+    # with a traceback (exit 1)
     CHAOS = {"kind": "chaos", "N": [10], "D": [2], "lambda": [0.5],
              "t": [1.0], "k": [1], "l": [1], "replications": 30, "seed": 1}
 
@@ -111,8 +111,13 @@ class TestExitCodes:
           "horizon": 50.0, "n_batches": 19, "seed": 1}, "n_batches"),
         ({"kind": "rates-check", "N": [3], "D": [2], "lambda": [0.9999999],
           "seed": 1}, "lambda"),
+        ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
+          "horizon": math.inf, "seed": 1}, "horizon"),
+        ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
+          "horizon": 2.0, "seed": 1, "service": [1]}, "service"),
     ], ids=["chaos-replications", "chaos-t-zero", "tagged-t-zero",
-            "stationary-n-batches", "rates-check-load-rounds-to-1"])
+            "stationary-n-batches", "rates-check-load-rounds-to-1",
+            "simulate-horizon-inf", "simulate-service-not-object"])
     def test_driver_refusal_is_2(self, tmp_path, capsys, doc, field):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
