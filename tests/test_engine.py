@@ -18,20 +18,20 @@ def config_from_lengths(lengths, seed=0):
 
 
 class TestRouting:
-    def _uniform(self, seed):
-        gen = RngStream(seed).generator()
+    def _uniform(self, stream):
+        gen = stream.generator()
         return _Buffer(lambda: gen.random(8)).next
 
     def test_unique_minimum(self):
         lengths = [3, 1, 2]
-        assert _route(lengths, (0, 1), self._uniform(1)) == 1
-        assert _route(lengths, (0, 2), self._uniform(1)) == 2
+        assert _route(lengths, (0, 1), self._uniform(RngStream(1))) == 1
+        assert _route(lengths, (0, 2), self._uniform(RngStream(1))) == 2
 
     def test_singleton(self):
-        assert _route([3, 1, 2], (0,), self._uniform(1)) == 0
+        assert _route([3, 1, 2], (0,), self._uniform(RngStream(1))) == 0
 
     def test_tie_frequencies(self):
-        u = self._uniform(2)
+        u = self._uniform(RngStream(2).child("ties"))
         n = 10**5
         hits = sum(_route([2, 2], (0, 1), u) for _ in range(n))
         # fair coin: 3 sigma band around n/2
