@@ -309,11 +309,19 @@ def asymptotic_tail(d: int, lam: float, k: int):
 def cavity_rate(d: int, lam, p_k, p_k1):
     """Limiting per-server arrival rate at a level with tail fractions p_k and
     p_{k+1}: lam * (p_k^d - p_{k+1}^d) / (p_k - p_{k+1}), continuously
-    extended to lam * d * p^(d-1) on the diagonal."""
+    extended to lam * d * p^(d-1) on the diagonal.
+
+    The quotient is summed as sum_{i<d} p_k^i p_{k+1}^(d-1-i) rather than
+    divided out: the difference form cancels near the diagonal and, with
+    subnormal tails, rounds lam * (p_k^d - p_{k+1}^d) before the division,
+    so it can exceed the cap lam * d * p_k^(d-1). The sum is monotone in both
+    arguments in floating point and exact on Fractions."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 <= p_k1 <= p_k <= 1:
         raise ValueError("need 0 <= p_k1 <= p_k <= 1")
-    if p_k == p_k1:
-        return lam * d * p_k ** (d - 1)
-    return lam * (p_k**d - p_k1**d) / (p_k - p_k1)
+    s = pw = 1
+    for _ in range(d - 1):
+        pw = pw * p_k
+        s = s * p_k1 + pw
+    return lam * s
