@@ -15,5 +15,5 @@ from .engine import (ArrivalEvent, EventLog, Trajectory, run,
 from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo, clan_stats
 from .cavity import (CoupledPair, TailProfile, level_distribution,
                      mean_field_profile, run_cavity, run_coupled, tv_distance)
-from .estimators import (EstimateRow, FitResult, PairMoments, cov_mk, cov_pi,
-                         fit_exp_decay, stationary_tail, var_lambda_rate)
+from .estimators import (EstimateRow, FitResult, cov_mk, fit_exp_decay,
+                         stationary_tail)

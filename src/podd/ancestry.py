@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import RngStream, as_generator
 from .engine import EventLog
-
-Z99 = 2.5758293035489004
+from .estimators import z_value
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,9 @@ def _aggregate(sizes, hits, t_grid) -> ClanStats:
     m_sz = sizes.mean(axis=0)
     m_hit = hits.mean(axis=0)
     if n > 1:
-        ci_sz = Z99 * sizes.std(axis=0, ddof=1) / math.sqrt(n)
-        ci_hit = Z99 * hits.std(axis=0, ddof=1) / math.sqrt(n)
+        z = z_value(0.99)
+        ci_sz = z * sizes.std(axis=0, ddof=1) / math.sqrt(n)
+        ci_hit = z * hits.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         ci_sz = np.full_like(m_sz, np.inf)
         ci_hit = np.full_like(m_hit, np.inf)

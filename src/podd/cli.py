@@ -258,7 +258,24 @@ def parse_config(text, kind: str | None = None) -> ExperimentSpec:
     if spec.sample_times is not None and any(
             not 0 <= v <= spec.horizon for v in spec.sample_times):
         raise ConfigError("sample_times: times must lie in [0, horizon]")
+    # each load that _run_stationary runs must leave n_batches samples
+    if spec.kind == "stationary" and any(d <= n for n in spec.N for d in spec.D):
+        for lam in spec.lam:
+            times, warmup = _stationary_grid(spec, lam)
+            if np.count_nonzero(times >= warmup) < spec.n_batches:
+                raise ConfigError(
+                    f"horizon: {spec.horizon:g} leaves fewer than n_batches = "
+                    f"{spec.n_batches} sample times after the warm-up "
+                    f"{warmup:g} at lambda = {lam:g}")
     return spec
+
+
+def _stationary_grid(spec, lam):
+    """The sample times of a `stationary` run at load `lam`, and its warm-up
+    (10/(1-lam) unless the config sets one)."""
+    times = np.linspace(0.0, spec.horizon, max(spec.n_batches * 32, 512))
+    warmup = spec.warmup if spec.warmup is not None else 10.0 / (1.0 - lam)
+    return times, warmup
 
 
 def _init_config(profile: str, n: int, lam: float, dist, rng: RngStream) -> Configuration:
@@ -530,14 +547,11 @@ def _run_stationary(spec, out_dir, workers):
     for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
         if d > n:
             continue
-        warmup = spec.warmup if spec.warmup is not None else 10.0 / (1.0 - lam)
+        times, warmup = _stationary_grid(spec, lam)
         rng = base.child(f"stationary-{n}-{d}-{lam}")
-        init = Configuration.empty(n)
-        horizon = spec.horizon
-        n_samples = max(spec.n_batches * 32, 512)
-        times = np.linspace(0.0, horizon, n_samples)
-        traj, _ = run(n, d, lam, spec.service, spec.discipline, init, horizon,
-                      times, rng.child("run"), record_events=False)
+        traj, _ = run(n, d, lam, spec.service, spec.discipline,
+                      Configuration.empty(n), spec.horizon, times,
+                      rng.child("run"), record_events=False)
         for row in stationary_tail(traj, warmup, spec.n_batches, spec.k_max):
             k = row.params["k"]
             rows.append([n, d, _fmt(lam), k, _fmt(row.estimate),

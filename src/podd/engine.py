@@ -110,11 +110,13 @@ class _System:
     or `_LifoPr`.  Each server holds its jobs' residual work as a list of
     Python floats in arrival order, advanced to time `last[s]`; `arrive`
     rejects a residual that is not positive.  The departure heap holds
-    (time, server, seq, version) entries, and per-server version counters
-    drop schedules invalidated by preemption or share changes.
+    (time, server, version) entries, and per-server version counters drop
+    schedules invalidated by preemption or share changes.  A server's
+    versions rise with each push, so on a tie in time and server the older
+    entry goes first.
     """
 
-    __slots__ = ("lengths", "jobs", "last", "ver", "heap", "seq")
+    __slots__ = ("lengths", "jobs", "last", "ver", "heap")
 
     def __new__(cls, n, discipline: Discipline):
         return object.__new__(_KERNELS[discipline.kind])
@@ -125,7 +127,6 @@ class _System:
         self.last = [0.0] * n
         self.ver = [0] * n
         self.heap = []
-        self.seq = 0
 
     def load(self, config: Configuration):
         """Queue copies of `config`'s residual lists on this empty system at
@@ -135,12 +136,6 @@ class _System:
                 self.jobs[s] = list(q)
                 self.lengths[s] = len(q)
                 self._schedule(s, 0.0)
-
-    def next_departure(self):
-        heap = self.heap
-        while heap and heap[0][3] != self.ver[heap[0][1]]:
-            heappop(heap)
-        return heap[0][0] if heap else math.inf
 
 
 class _Fifo(_System):
@@ -154,8 +149,7 @@ class _Fifo(_System):
         js = self.jobs[s]
         if js:
             due = js[0]
-            self.seq += 1
-            heappush(self.heap, (t + (due if due > 0.0 else 0.0), s, self.seq, 0))
+            heappush(self.heap, (t + (due if due > 0.0 else 0.0), s, 0))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -163,11 +157,10 @@ class _Fifo(_System):
         self.jobs[s].append(residual)
         self.lengths[s] += 1
         if self.lengths[s] == 1:
-            self.seq += 1
-            heappush(self.heap, (t + residual, s, self.seq, 0))
+            heappush(self.heap, (t + residual, s, 0))
 
     def depart(self):
-        t, s, _, _ = heappop(self.heap)
+        t, s, _ = heappop(self.heap)
         self.jobs[s].pop(0)
         self.lengths[s] -= 1
         self._schedule(s, t)
@@ -184,9 +177,8 @@ class _Ps(_System):
         js = self.jobs[s]
         if js:
             due = len(js) * min(js)
-            self.seq += 1
             heappush(self.heap,
-                     (t + (due if due > 0.0 else 0.0), s, self.seq, self.ver[s]))
+                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -205,7 +197,7 @@ class _Ps(_System):
     def depart(self):
         heap, ver = self.heap, self.ver
         while True:
-            t, s, _, v = heappop(heap)
+            t, s, v = heappop(heap)
             if v == ver[s]:
                 break
         js = self.jobs[s]
@@ -231,9 +223,8 @@ class _LifoPr(_System):
         js = self.jobs[s]
         if js:
             due = js[-1]
-            self.seq += 1
             heappush(self.heap,
-                     (t + (due if due > 0.0 else 0.0), s, self.seq, self.ver[s]))
+                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -246,13 +237,12 @@ class _LifoPr(_System):
         js.append(residual)
         self.lengths[s] += 1
         self.ver[s] = v = self.ver[s] + 1
-        self.seq += 1
-        heappush(self.heap, (t + residual, s, self.seq, v))
+        heappush(self.heap, (t + residual, s, v))
 
     def depart(self):
         heap, ver = self.heap, self.ver
         while True:
-            t, s, _, v = heappop(heap)
+            t, s, v = heappop(heap)
             if v == ver[s]:
                 break
         self.last[s] = t
@@ -310,7 +300,7 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     next_arr = enext() / rate if rate > 0 else math.inf
 
     while True:
-        while heap and heap[0][3] != ver[heap[0][1]]:
+        while heap and heap[0][2] != ver[heap[0][1]]:
             heappop(heap)    # a schedule made stale by preemption or sharing
         next_dep = heap[0][0] if heap else math.inf
         nxt = next_arr if next_arr < next_dep else next_dep

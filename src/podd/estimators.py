@@ -1,22 +1,17 @@
-"""Cross-replication statistics: covariance of occupancy summaries, variance
-of the state-dependent arrival rate, stationary tails with batch means, and
-exponential-decay fitting.
+"""Cross-replication statistics: covariance of occupancy summaries, stationary
+tails with batch means, and exponential-decay fitting.
 
-Accumulation state is a mergeable value (count and raw power sums) so that
-parallel reduction over replications is exact: merging partial accumulators
-gives bit-identical results to a single pass, in any order.
+The covariance is computed exactly, from integer sums over the replications.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 
 from .engine import Trajectory, snapshot
-from .rates import _split_sum
 
 Z_VALUES = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 MIN_REPLICATIONS = 30
@@ -41,154 +36,47 @@ class EstimateRow:
     count: int
 
 
-@dataclass
-class PairMoments:
-    """Exact raw power sums of an integer-valued sample pair.
+def pair_covariance(pairs, level: float) -> tuple[Fraction, float]:
+    """Exact sample covariance of integer pairs (a_i, b_i), and the CI
+    half-width from the spread of the centered products.
 
-    Everything downstream (covariance, its CI) is a rational function of
-    these sums, so merging accumulators is associative and lossless.
+    Each c_i = (n a_i - sum a)(n b_i - sum b) is an int equal to n^2 times
+    the centered product, so the covariance is sum c / (n^2 (n-1)) and the
+    centered products' variance is (n sum c^2 - (sum c)^2) / (n^5 (n-1)).
     """
-
-    n: int = 0
-    sa: int = 0
-    sb: int = 0
-    saa: int = 0
-    sbb: int = 0
-    sab: int = 0
-    saab: int = 0
-    sabb: int = 0
-    saabb: int = 0
-
-    def add(self, a: int, b: int):
-        self.n += 1
-        self.sa += a
-        self.sb += b
-        self.saa += a * a
-        self.sbb += b * b
-        self.sab += a * b
-        self.saab += a * a * b
-        self.sabb += a * b * b
-        self.saabb += a * a * b * b
-
-    def merge(self, other: "PairMoments") -> "PairMoments":
-        return PairMoments(*(getattr(self, f) + getattr(other, f)
-                             for f in ("n", "sa", "sb", "saa", "sbb", "sab",
-                                       "saab", "sabb", "saabb")))
-
-    def covariance(self) -> Fraction:
-        if self.n < 2:
-            raise ValueError("covariance needs at least two samples")
-        n = self.n
-        return Fraction(self.sab - Fraction(self.sa * self.sb, n), n - 1)
-
-    def covariance_half_width(self, level: float) -> float:
-        """CI for the covariance from the spread of the centered products
-        (a_i - mean a)(b_i - mean b)."""
-        n = self.n
-        if n < 2:
-            return math.inf
-        am = Fraction(self.sa, n)
-        bm = Fraction(self.sb, n)
-        # sum of (a_i - am)^2 (b_i - bm)^2, expanded in raw sums
-        s22 = (self.saabb - 2 * bm * self.saab + bm * bm * self.saa
-               - 2 * am * self.sabb + 4 * am * bm * self.sab
-               - 2 * am * bm * bm * self.sa + am * am * self.sbb
-               - 2 * am * am * bm * self.sb + n * am * am * bm * bm)
-        s11 = self.sab - n * am * bm   # sum of centered products
-        var_x = (s22 - Fraction(s11 * s11, n)) / (n - 1)
-        return z_value(level) * math.sqrt(max(float(var_x), 0.0) / n)
-
-
-def _moments(trajs, t, pair):
-    """PairMoments of `pair(tc)` over the replications' snapshots at t,
-    plus N."""
-    if len(trajs) < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    pm = PairMoments()
-    n_servers = None
-    for traj in trajs:
-        tc = snapshot(traj, t)
-        if n_servers is None:
-            n_servers = tc.N
-        pm.add(*pair(tc))
-    return pm, n_servers
+    n = len(pairs)
+    if n < 2:
+        raise ValueError("covariance needs at least two samples")
+    sa = sum(a for a, _ in pairs)
+    sb = sum(b for _, b in pairs)
+    s1 = s2 = 0
+    for a, b in pairs:
+        c = (n * a - sa) * (n * b - sb)
+        s1 += c
+        s2 += c * c
+    var = Fraction(n * s2 - s1 * s1, n**5 * (n - 1))
+    return (Fraction(s1, n * n * (n - 1)),
+            z_value(level) * math.sqrt(float(var) / n))
 
 
 def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
     """|Cov(m_k(t), m_l(t))| across replications, bias-corrected.
 
     m_k is the fraction of servers at exactly level k, so the integer pair
-    (pi_k - pi_{k+1}, pi_l - pi_{l+1}) is accumulated exactly and scaled by
-    1/N^2 once at the end.
+    (pi_k - pi_{k+1}, pi_l - pi_{l+1}) is taken from each replication's
+    snapshot at t and scaled by 1/N^2 once at the end.
     """
-    pm, n_servers = _moments(
-        trajs, t,
-        lambda tc: (tc.get(k) - tc.get(k + 1), tc.get(l) - tc.get(l + 1)))
+    if len(trajs) < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
+    snaps = [snapshot(traj, t) for traj in trajs]
+    pairs = [(tc.get(k) - tc.get(k + 1), tc.get(l) - tc.get(l + 1))
+             for tc in snaps]
+    cov, half_width = pair_covariance(pairs, level)
+    n_servers = snaps[0].N
     scale = n_servers * n_servers
     return EstimateRow("cov_mk", {"N": n_servers, "k": k, "l": l, "t": t},
-                       abs(float(pm.covariance())) / scale,
-                       pm.covariance_half_width(level) / scale,
-                       level, pm.n)
-
-
-def cov_pi(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
-    """|Cov(pi_k(t), pi_l(t))| across replications (raw tail counts)."""
-    pm, n_servers = _moments(trajs, t, lambda tc: (tc.get(k), tc.get(l)))
-    return EstimateRow("cov_pi", {"N": n_servers, "k": k, "l": l, "t": t},
-                       abs(float(pm.covariance())),
-                       pm.covariance_half_width(level),
-                       level, pm.n)
-
-
-def tagged_rate_from_counts(n: int, d: int, lam: float, pi_k: int, pi_k1: int):
-    """Arrival rate to a server at level k given the tail counts, continuously
-    extended to pi_k == pi_{k+1} via the split-point sum (the snapshot may
-    contain no server at exactly level k)."""
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    if not 0 <= pi_k1 <= pi_k <= n:
-        raise ValueError("need 0 <= pi_k1 <= pi_k <= n")
-    total = _split_sum(d, pi_k1, pi_k)
-    value = lam * n * Fraction(total, factorial(d) * comb(n, d))
-    return value if isinstance(lam, Fraction) else float(value)
-
-
-def var_lambda_rate(trajs, k: int, t: float, n_servers: int, lam: float,
-                    d: int = 2, level: float = 0.95):
-    """Variance of the state-dependent arrival rate at level k.
-
-    Returns two rows that must agree: a plug-in evaluation from the tail-count
-    moments (closed form, d=2 only) and the direct sample variance of the rate
-    evaluated per replication (any d).
-    """
-    pm, n_chk = _moments(trajs, t, lambda tc: (tc.get(k), tc.get(k + 1)))
-    if n_chk != n_servers:
-        raise ValueError("trajectories disagree with the stated system size")
-    rows = []
-    if d == 2:
-        n = pm.n
-        var_a = Fraction(pm.saa - Fraction(pm.sa**2, n), n - 1)
-        var_b = Fraction(pm.sbb - Fraction(pm.sb**2, n), n - 1)
-        cov = pm.covariance()
-        plug = lam * lam / (n_servers - 1) ** 2 * float(var_a + var_b + 2 * cov)
-        rows.append(EstimateRow("var_rate_plugin",
-                                {"N": n_servers, "k": k, "t": t, "D": d},
-                                plug, math.nan, level, n))
-    vals = []
-    for traj in trajs:
-        tc = snapshot(traj, t)
-        vals.append(tagged_rate_from_counts(n_servers, d, lam,
-                                            tc.get(k), tc.get(k + 1)))
-    vals = np.asarray(vals)
-    n = vals.size
-    est = float(vals.var(ddof=1))
-    # CI on a variance via the spread of squared deviations
-    dev2 = (vals - vals.mean()) ** 2
-    hw = z_value(level) * float(dev2.std(ddof=1)) / math.sqrt(n)
-    rows.append(EstimateRow("var_rate_direct",
-                            {"N": n_servers, "k": k, "t": t, "D": d},
-                            est, hw, level, n))
-    return rows
+                       abs(float(cov)) / scale, half_width / scale,
+                       level, len(pairs))
 
 
 def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,

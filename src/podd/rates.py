@@ -86,11 +86,6 @@ def selection_sum(d: int, a: int, b: int):
         raise ValueError("d must be >= 1")
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    return _split_sum(d, a, b)
-
-
-def _split_sum(d: int, a: int, b: int) -> int:
-    """`selection_sum` without its checks, for any integers a and b."""
     total = 0
     for i in range(d):
         term = 1

@@ -109,6 +109,9 @@ class TestExitCodes:
           "replications": 30, "seed": 1}, "t"),
         ({"kind": "stationary", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 50.0, "n_batches": 19, "seed": 1}, "n_batches"),
+        # the default warm-up 10/(1-lambda) = 20 is past the horizon
+        ({"kind": "stationary", "N": [10], "D": [2], "lambda": [0.5],
+          "horizon": 5.0, "seed": 1}, "horizon"),
         ({"kind": "rates-check", "N": [3], "D": [2], "lambda": [0.9999999],
           "seed": 1}, "lambda"),
         ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
@@ -116,7 +119,8 @@ class TestExitCodes:
         ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 2.0, "seed": 1, "service": [1]}, "service"),
     ], ids=["chaos-replications", "chaos-t-zero", "tagged-t-zero",
-            "stationary-n-batches", "rates-check-load-rounds-to-1",
+            "stationary-n-batches", "stationary-horizon-before-warmup",
+            "rates-check-load-rounds-to-1",
             "simulate-horizon-inf", "simulate-service-not-object"])
     def test_driver_refusal_is_2(self, tmp_path, capsys, doc, field):
         cfg = write_config(tmp_path, doc)

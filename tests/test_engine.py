@@ -60,14 +60,12 @@ class TestDepartureTiming:
 
     def test_fifo(self):
         s = self._loaded(FIFO)
-        assert s.next_departure() == pytest.approx(0.4)
         assert s.depart()[0] == pytest.approx(0.4)
         assert s.depart()[0] == pytest.approx(1.4)
 
     def test_ps(self):
         s = self._loaded(PS)
         # min residual times the number in service
-        assert s.next_departure() == pytest.approx(0.8)
         assert s.depart()[0] == pytest.approx(0.8)
         assert s.depart()[0] == pytest.approx(1.4)
 
@@ -82,26 +80,28 @@ class TestDepartureTiming:
         s = _System(1, disc)
         s.arrive(0, 0.0, 1.0)
         s.arrive(0, 0.4, 0.5)
-        return [s.depart()[0] for _ in range(2)], s.next_departure()
+        times = [s.depart()[0] for _ in range(2)]
+        # entries left on the heap are stale: nothing more is scheduled
+        return times, [e for e in s.heap if e[2] == s.ver[e[1]]]
 
     def test_fifo_arrival_during_service(self):
         # A keeps the server: A at 1.0, then B at 1.0 + 0.5
-        times, after = self._departures_with_arrival_during_service(FIFO)
+        times, live = self._departures_with_arrival_during_service(FIFO)
         assert times == pytest.approx([1.0, 1.5])
-        assert after == math.inf
+        assert live == []
 
     def test_ps_arrival_during_service(self):
         # A has 0.6 left at 0.4; both served at rate 1/2, so B (0.5) ends at
         # 0.4 + 2 * 0.5 = 1.4 with A at 0.1, which then ends alone at 1.5
-        times, after = self._departures_with_arrival_during_service(PS)
+        times, live = self._departures_with_arrival_during_service(PS)
         assert times == pytest.approx([1.4, 1.5])
-        assert after == math.inf
+        assert live == []
 
     def test_lifo_arrival_during_service(self):
         # B preempts A (0.6 left) and ends at 0.9; A resumes and ends at 1.5
-        times, after = self._departures_with_arrival_during_service(LIFO_PR)
+        times, live = self._departures_with_arrival_during_service(LIFO_PR)
         assert times == pytest.approx([0.9, 1.5])
-        assert after == math.inf
+        assert live == []
 
     def test_nonpositive_residual_rejected(self):
         for residual in (0.0, -1.0):

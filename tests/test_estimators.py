@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
-from podd.estimators import (EstimateRow, FitResult, PairMoments, cov_mk,
-                             cov_pi, fit_exp_decay,
-                             stationary_tail, tagged_rate_from_counts,
-                             var_lambda_rate, z_value)
-from podd.rates import RateInputs, arrival_rate_closed
+from podd.estimators import (cov_mk, fit_exp_decay, pair_covariance,
+                             stationary_tail, z_value)
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()
@@ -30,34 +28,35 @@ def replicate(n, d, lam, t, reps, seed, disc=FIFO, dist=EXP, init=None,
 
 
 class TestPairMoments:
+    # pair_covariance: the exact first and second moments of integer pairs
+
     def test_covariance_matches_numpy(self):
         rng = np.random.default_rng(1)
         a = rng.integers(0, 50, 200)
         b = rng.integers(0, 50, 200)
-        pm = PairMoments()
-        for x, y in zip(a, b):
-            pm.add(int(x), int(y))
-        assert float(pm.covariance()) == pytest.approx(np.cov(a, b, ddof=1)[0, 1])
+        cov, _ = pair_covariance([(int(x), int(y)) for x, y in zip(a, b)], 0.95)
+        assert float(cov) == pytest.approx(np.cov(a, b, ddof=1)[0, 1])
 
-    def test_merge_associative_and_exact(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 30, 90)
-        b = rng.integers(0, 30, 90)
-        whole = PairMoments()
-        parts = [PairMoments() for _ in range(3)]
-        for i, (x, y) in enumerate(zip(a, b)):
-            whole.add(int(x), int(y))
-            parts[i % 3].add(int(x), int(y))
-        merged = parts[0].merge(parts[1]).merge(parts[2])
-        remerged = parts[2].merge(parts[0].merge(parts[1]))
-        assert merged == whole == remerged
-        assert merged.covariance() == whole.covariance()
+    @given(st.lists(st.tuples(st.integers(-10**6, 10**6),
+                              st.integers(-10**6, 10**6)),
+                    min_size=2, max_size=40),
+           st.sampled_from([0.95, 0.99]))
+    def test_exact_against_fractions(self, pairs, level):
+        n = len(pairs)
+        am = Fraction(sum(a for a, _ in pairs), n)
+        bm = Fraction(sum(b for _, b in pairs), n)
+        x = [(a - am) * (b - bm) for a, b in pairs]
+        xm = sum(x) / n
+        want_cov = sum(x) / (n - 1)
+        want_var = sum((v - xm) ** 2 for v in x) / (n - 1)
+        cov, half_width = pair_covariance(pairs, level)
+        assert cov == want_cov
+        assert half_width == z_value(level) * math.sqrt(float(want_var) / n)
 
     def test_half_width_positive(self):
-        pm = PairMoments()
-        for x, y in [(1, 2), (3, 1), (2, 2), (5, 0), (0, 4)]:
-            pm.add(x, y)
-        assert pm.covariance_half_width(0.95) > 0
+        _, half_width = pair_covariance(
+            [(1, 2), (3, 1), (2, 2), (5, 0), (0, 4)], 0.95)
+        assert half_width > 0
         with pytest.raises(ValueError):
             z_value(0.9)
 
@@ -66,7 +65,6 @@ class TestCovEstimators:
     def test_t_zero_deterministic_init(self):
         trajs = replicate(6, 2, 0.5, 0.0, 30, seed=50, horizon=1.0)
         assert cov_mk(trajs, 0, 1, 0.0).estimate == 0.0
-        assert cov_pi(trajs, 1, 2, 0.0).estimate == 0.0
 
     def test_diagonal_is_variance(self):
         trajs = replicate(8, 2, 0.6, 1.0, 40, seed=51)
@@ -76,13 +74,6 @@ class TestCovEstimators:
             tc = traj.snapshots[0]
             vals.append((tc.get(1) - tc.get(2)) / 8)
         assert row.estimate == pytest.approx(np.var(vals, ddof=1))
-
-    def test_cov_pi_matches_direct_expansion(self):
-        trajs = replicate(5, 2, 0.5, 0.8, 60, seed=52)
-        row = cov_pi(trajs, 1, 2, 0.8)
-        a = [traj.snapshots[0].get(1) for traj in trajs]
-        b = [traj.snapshots[0].get(2) for traj in trajs]
-        assert row.estimate == pytest.approx(abs(np.cov(a, b, ddof=1)[0, 1]))
 
     def test_replication_floor(self):
         trajs = replicate(5, 2, 0.5, 0.5, 10, seed=53)
@@ -142,44 +133,6 @@ class TestExhaustiveOracle:
         trajs = replicate(n, 2, lam, horizon, reps, seed=54, dist=DET)
         row = cov_mk(trajs, k, l, horizon, level=0.99)
         assert abs(row.estimate - abs(exact)) < 3 * row.half_width + tail + 1e-6
-
-
-class TestVarLambdaRate:
-    def test_t_zero(self):
-        trajs = replicate(10, 2, 0.5, 0.0, 30, seed=55, horizon=0.5)
-        rows = var_lambda_rate(trajs, 1, 0.0, 10, 0.5)
-        assert rows[0].estimate == 0.0
-        assert rows[1].estimate == pytest.approx(0.0, abs=1e-30)
-
-    def test_plugin_agrees_with_direct(self):
-        n, lam, t = 50, 0.5, 2.0
-        trajs = replicate(n, 2, lam, t, 300, seed=56)
-        plugin, direct = var_lambda_rate(trajs, 1, t, n, lam)
-        assert plugin.name == "var_rate_plugin"
-        # the two estimators use the same samples, so agreement is tight
-        assert direct.estimate == pytest.approx(plugin.estimate, rel=1e-9)
-
-    def test_decreasing_in_n(self):
-        vals = []
-        for n in (50, 100, 200):
-            trajs = replicate(n, 2, 0.5, 1.0, 200, seed=57)
-            _, direct = var_lambda_rate(trajs, 1, 1.0, n, 0.5)
-            vals.append(direct.estimate)
-        assert vals[0] > vals[2]
-
-    def test_rate_extension_matches_closed_form(self):
-        for n, d, pk, pk1 in [(10, 2, 6, 3), (9, 3, 7, 2), (12, 4, 10, 5)]:
-            got = tagged_rate_from_counts(n, d, 0.5, pk, pk1)
-            want = arrival_rate_closed(RateInputs(n, d, 0.5, pk, pk1))
-            assert got == pytest.approx(want, rel=1e-12)
-        # diagonal: d=2 reduces to lam/(n-1) * (a + b - 1)
-        assert tagged_rate_from_counts(10, 2, 0.5, 4, 4) == pytest.approx(
-            0.5 / 9 * 7)
-
-    @pytest.mark.parametrize("n,d,pk,pk1", [(1, 2, 1, 0), (5, 0, 3, 1)])
-    def test_rate_extension_rejects_d_outside_1_to_n(self, n, d, pk, pk1):
-        with pytest.raises(ValueError, match="1 <= d <= n"):
-            tagged_rate_from_counts(n, d, 0.7, pk, pk1)
 
 
 class TestStationaryTail:
