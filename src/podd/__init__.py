@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .core import (Configuration, Discipline, FIFO, LIFO_PR, PS, RngStream,
-                   ServiceDistribution, TailCounts, tail_counts)
+                   ServiceDistribution, TailCounts)
 from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
                     arrival_rate_hyper, arrival_rate_plus_one,
                     asymptotic_tail, cavity_rate, chaos_bound,
@@ -12,8 +12,8 @@ from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
                     tail_count_cov_bound, uniform_rate_bound)
 from .engine import (ArrivalEvent, EventLog, Trajectory, run,
                      sample_arrival_log, snapshot)
-from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo, clan_stats
-from .cavity import (CoupledPair, TailProfile, level_distribution,
-                     mean_field_profile, run_cavity, run_coupled, tv_distance)
+from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo
+from .cavity import (CoupledPair, level_distribution, run_cavity, run_coupled,
+                     tv_distance)
 from .estimators import (EstimateRow, FitResult, cov_mk, fit_exp_decay,
                          stationary_tail)

@@ -54,6 +54,7 @@ def _bits(indices) -> int:
 def build_clan(log: EventLog, i: int, t: float) -> ClanResult:
     """Clan of server i over the last t time units of the log.
 
+    The reference scan, which the tests check `clan_monte_carlo` against.
     Pure function of the log: arrivals are scanned in decreasing time from the
     horizon; whenever the scanned arrival's sampled set meets the clan, the
     clan absorbs the whole set.
@@ -72,63 +73,6 @@ def build_clan(log: EventLog, i: int, t: float) -> ClanResult:
             psi |= z
     members = frozenset(s for s in range(log.N) if psi >> s & 1)
     return ClanResult(i, t, members)
-
-
-def _scan_masks(log: EventLog, seeds, t_grid):
-    """Clan bitmasks per seed at each grid time, in one backward pass.
-
-    t_grid must be sorted ascending; the shallowest window closes first as
-    the scan moves backwards, so masks are recorded in grid order.
-    """
-    masks = list(seeds)
-    arrivals = log.arrivals
-    pos = len(arrivals) - 1
-    out = [[] for _ in seeds]
-    for t in t_grid:
-        start = log.horizon - t
-        while pos >= 0 and arrivals[pos].time >= start:
-            z = _bits(arrivals[pos].zeta)
-            masks = [m | z if m & z else m for m in masks]
-            pos -= 1
-        for g, m in enumerate(masks):
-            out[g].append(m)
-    return out
-
-
-def clan_stats(logs, pairs, t_grid) -> ClanStats:
-    """Mean clan size and pair-overlap frequency across replication logs.
-
-    `pairs` are distinct (i, j) server pairs; sizes are averaged over both
-    members of every pair.  CIs are normal-approximation at 99%.
-    """
-    t_grid = tuple(sorted(t_grid))
-    for i, j in pairs:
-        if i == j:
-            raise ValueError("pairs must be distinct")
-    sizes = []
-    hits = []
-    for log in logs:
-        if t_grid and t_grid[-1] > log.horizon:
-            raise ValueError("grid exceeds a log horizon")
-        seeds = []
-        for i, j in pairs:
-            seeds.append(1 << i)
-            seeds.append(1 << j)
-        res = _scan_masks(log, seeds, t_grid)
-        srow, hrow = [], []
-        for ti in range(len(t_grid)):
-            sz = 0
-            ov = 0
-            for p in range(len(pairs)):
-                a = res[2 * p][ti]
-                b = res[2 * p + 1][ti]
-                sz += a.bit_count() + b.bit_count()
-                ov += 1 if a & b else 0
-            srow.append(sz / (2 * len(pairs)))
-            hrow.append(ov / len(pairs))
-        sizes.append(srow)
-        hits.append(hrow)
-    return _aggregate(np.asarray(sizes, float), np.asarray(hits, float), t_grid)
 
 
 def _aggregate(sizes, hits, t_grid) -> ClanStats:

@@ -1,11 +1,10 @@
 """Cavity queue and the paired N / N+1 construction.
 
 The cavity process is a single queue whose arrival rate at level k is the
-large-system limit of the effective JSQ(D) rate, driven either by the
-stationary tail fractions or by an empirical profile measured from a large-N
-run.  The paired construction drives an N-server and an (N+1)-server system
-from shared and private Poisson arrival streams so their difference can be
-measured directly.
+large-system limit of the effective JSQ(D) rate, driven by the stationary
+tail fractions.  The paired construction drives an N-server and an
+(N+1)-server system from shared and private Poisson arrival streams so their
+difference can be measured directly.
 """
 from __future__ import annotations
 
@@ -14,63 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Configuration, Discipline, RngStream, ServiceDistribution,
-                   as_generator)
+from .core import Configuration, Discipline, ServiceDistribution, as_generator
 from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers, _drive,
-                     _route, _sample_zeta, _System, run)
+                     _route, _sample_zeta, _System)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
-
-
-@dataclass(frozen=True)
-class TailProfile:
-    """Tail fractions p_k feeding the cavity arrival rate.
-
-    `stationary` evaluates the limiting tail for (d, lam) at any level;
-    `empirical` interpolates a measured table piecewise-constantly in time
-    and returns 0 beyond its level range.
-    """
-
-    mode: str
-    d: int = 0
-    lam: float = 0.0
-    knots: tuple = ()      # empirical: increasing times
-    table: tuple = ()      # empirical: table[i][k] = p_k at knots[i]
-
-    def __post_init__(self):
-        if self.mode not in ("stationary", "empirical"):
-            raise ValueError("mode must be 'stationary' or 'empirical'")
-        if self.mode == "empirical":
-            for row in self.table:
-                if abs(row[0] - 1.0) > 1e-9:
-                    raise ValueError("profile rows must start at p_0 = 1")
-                if any(row[k + 1] > row[k] + 1e-12 for k in range(len(row) - 1)):
-                    raise ValueError("tail fractions must be non-increasing")
-
-    @classmethod
-    def stationary(cls, d: int, lam: float) -> "TailProfile":
-        if not 0 < lam < 1:
-            raise ValueError("load must lie in (0, 1)")
-        return cls("stationary", d=d, lam=lam)
-
-    @classmethod
-    def empirical(cls, knots, table) -> "TailProfile":
-        return cls("empirical", knots=tuple(knots),
-                   table=tuple(tuple(r) for r in table))
-
-    def p(self, t: float, k: int) -> float:
-        if k <= 0:
-            return 1.0
-        if self.mode == "stationary":
-            if self.d == 1:
-                expo = k
-            else:
-                expo = (self.d**k - 1) // (self.d - 1)
-            return self.lam**expo if expo < 10**6 else 0.0
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        if i < 0:
-            i = 0
-        row = self.table[i]
-        return row[k] if k < len(row) else 0.0
 
 
 @dataclass
@@ -107,9 +53,12 @@ def level_distribution(samples, k_max: int) -> np.ndarray:
     return out / samples.size
 
 
-def run_cavity(D, lam, profile: TailProfile, dist: ServiceDistribution,
-               disc: Discipline, horizon, rng, sample_times=None) -> Trajectory:
+def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
+               rng, sample_times=None) -> Trajectory:
     """Single queue with level-dependent arrival rate, exact in time.
+
+    At level k the rate is `cavity_rate` of the stationary tail fractions
+    p_k and p_{k+1} (`asymptotic_tail`).
 
     Candidate arrivals come at the constant dominating rate and are accepted
     with probability actual-rate / bound (thinning), so no discretization
@@ -127,7 +76,8 @@ def run_cavity(D, lam, profile: TailProfile, dist: ServiceDistribution,
 
     def on_candidate(t):
         k = lengths[0]
-        rate = cavity_rate(D, lam, profile.p(t, k), profile.p(t, k + 1))
+        rate = cavity_rate(D, lam, asymptotic_tail(D, lam, k),
+                           asymptotic_tail(D, lam, k + 1))
         if unext() * bound < rate:
             arrive(0, t, snext())
 
@@ -220,20 +170,3 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
              if record_events else None)
     return CoupledPair(N, D, traj_s, traj_l, counts, tuple(hits), log_s, log_l)
 
-
-def mean_field_profile(N, D, lam, dist, disc, horizon, n_reps, n_knots,
-                       rng: RngStream, k_max=32) -> TailProfile:
-    """Empirical tail profile: tail fractions averaged over replications of a
-    large-N run, piecewise constant on an even knot grid."""
-    knots = np.linspace(0.0, horizon, n_knots)
-    acc = np.zeros((n_knots, k_max + 1))
-    init = Configuration.empty(N)
-    for r in range(n_reps):
-        traj, _ = run(N, D, lam, dist, disc, init, horizon, knots,
-                      rng.child("profile", r), record_events=False)
-        for i, tc in enumerate(traj.snapshots):
-            for k in range(k_max + 1):
-                acc[i, k] += tc.get(k) / N
-    acc /= n_reps
-    acc[:, 0] = 1.0
-    return TailProfile.empirical(knots, acc)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .ancestry import clan_monte_carlo
-from .cavity import TailProfile, level_distribution, run_cavity, run_coupled, tv_distance
+from .cavity import level_distribution, run_cavity, run_coupled, tv_distance
 from .core import Configuration, Discipline, RngStream, ServiceDistribution
 from .engine import run
 from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
@@ -511,8 +511,7 @@ def _tagged_rep(task):
 
 def _cavity_rep(task):
     d, lam, t, spec, rng = task
-    profile = TailProfile.stationary(d, lam)
-    traj = run_cavity(d, lam, profile, spec.service, spec.discipline, t,
+    traj = run_cavity(d, lam, spec.service, spec.discipline, t,
                       rng.child("cavity"), sample_times=[t])
     return int(traj.tagged[-1])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,13 +116,6 @@ def tail_counts_from_lengths(lengths, k_max: int) -> TailCounts:
     return TailCounts(tuple(int(v) for v in tail[: k_max + 1]))
 
 
-def tail_counts(config: Configuration, k_max: int) -> TailCounts:
-    """Tail occupancy pi_k for k = 0..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return tail_counts_from_lengths(config.lengths(), k_max)
-
-
 # ---------------------------------------------------------------------------
 # Service-time distributions (all normalized to mean exactly 1)
 # ---------------------------------------------------------------------------
@@ -132,12 +125,15 @@ class ServiceDistribution:
     """A mean-1 service-time distribution.
 
     Construction rescales the natural parameterization so the analytic mean
-    is exactly 1; `mean()` recomputes it from the closed form so the
-    normalization can be checked without sampling.
+    is exactly 1, and rejects parameters that are not finite.  A
+    hyperexponential keeps the weights and rates it was given in `args`:
+    `to_json` writes those back, so `from_json` rebuilds the same params,
+    where rescaling the rescaled params could move them by an ulp.
     """
 
     kind: str
     params: tuple = ()
+    args: tuple = field(default=(), compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -151,9 +147,9 @@ class ServiceDistribution:
 
     @classmethod
     def erlang(cls, shape: int):
-        if shape < 1:
+        if isinstance(shape, bool) or not isinstance(shape, int) or shape < 1:
             raise ValueError("erlang shape must be a positive integer")
-        return cls("erlang", (int(shape),))
+        return cls("erlang", (shape,))
 
     @classmethod
     def hyperexponential(cls, weights, rates):
@@ -161,20 +157,21 @@ class ServiceDistribution:
         rates = tuple(float(r) for r in rates)
         if len(weights) != len(rates) or not weights:
             raise ValueError("weights and rates must be equal-length, non-empty")
-        if any(w <= 0 for w in weights) or any(r <= 0 for r in rates):
-            raise ValueError("hyperexponential weights and rates must be positive")
+        if not all(0 < v < math.inf for v in weights + rates):
+            raise ValueError("hyperexponential weights and rates must be "
+                             "positive and finite")
         total = sum(weights)
-        weights = tuple(w / total for w in weights)
-        mean = sum(w / r for w, r in zip(weights, rates))
-        rates = tuple(r * mean for r in rates)  # rescale to mean 1
-        return cls("hyperexponential", (weights, rates))
+        norm = tuple(w / total for w in weights)
+        mean = sum(w / r for w, r in zip(norm, rates))
+        scaled = tuple(r * mean for r in rates)  # rescale to mean 1
+        return cls("hyperexponential", (norm, scaled), (weights, rates))
 
     @classmethod
     def hyperexponential_cv2(cls, cv2: float):
         """Two-phase balanced-means hyperexponential with the given squared
         coefficient of variation (> 1)."""
-        if cv2 <= 1:
-            raise ValueError("hyperexponential needs cv^2 > 1")
+        if not 1 < cv2 < math.inf:
+            raise ValueError("hyperexponential needs a finite cv^2 > 1")
         x = math.sqrt((cv2 - 1.0) / (cv2 + 1.0))
         p1 = 0.5 * (1.0 + x)
         p2 = 1.0 - p1
@@ -182,36 +179,24 @@ class ServiceDistribution:
 
     @classmethod
     def lognormal(cls, sigma: float):
-        if sigma <= 0:
-            raise ValueError("lognormal sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError("lognormal sigma must be positive and finite")
         return cls("lognormal", (float(sigma),))
 
     @classmethod
     def weibull(cls, shape: float):
-        if shape <= 0:
-            raise ValueError("weibull shape must be positive")
+        if not 0 < shape < math.inf:
+            raise ValueError("weibull shape must be positive and finite")
+        try:
+            g = math.gamma(1.0 + 1.0 / shape)  # the scale is 1/g
+        except OverflowError:
+            g = math.inf
+        if g == math.inf:
+            raise ValueError("weibull shape too small: Gamma(1 + 1/shape) "
+                             "overflows")
         return cls("weibull", (float(shape),))
 
     # -- analytics ----------------------------------------------------------
-
-    def mean(self) -> float:
-        if self.kind in ("exponential", "deterministic"):
-            return 1.0
-        if self.kind == "erlang":
-            (shape,) = self.params
-            return shape / float(shape)
-        if self.kind == "hyperexponential":
-            weights, rates = self.params
-            return sum(w / r for w, r in zip(weights, rates))
-        if self.kind == "lognormal":
-            (sigma,) = self.params
-            mu = -0.5 * sigma * sigma
-            return math.exp(mu + 0.5 * sigma * sigma)
-        if self.kind == "weibull":
-            (shape,) = self.params
-            scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
-            return scale * math.gamma(1.0 + 1.0 / shape)
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def variance(self) -> float:
         if self.kind == "exponential":
@@ -271,7 +256,7 @@ class ServiceDistribution:
         if self.kind == "erlang":
             return {"kind": "erlang", "shape": self.params[0]}
         if self.kind == "hyperexponential":
-            weights, rates = self.params
+            weights, rates = self.args or self.params
             return {"kind": "hyperexponential",
                     "weights": list(weights), "rates": list(rates)}
         if self.kind == "lognormal":

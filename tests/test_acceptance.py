@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from podd.ancestry import clan_monte_carlo
-from podd.cavity import TailProfile, level_distribution, run_cavity, tv_distance
+from podd.cavity import level_distribution, run_cavity, tv_distance
 from podd.cli import main
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
@@ -326,8 +326,7 @@ def test_criterion_9_cavity_fixed_point():
     # Monte Carlo leg: long cavity run under the fixed-point profile
     d, lam = 2, 0.7
     warm, horizon = 100.0, 4100.0
-    traj = run_cavity(d, lam, TailProfile.stationary(d, lam), EXP, FIFO,
-                      horizon, RngStream(1009).child("mc"),
+    traj = run_cavity(d, lam, EXP, FIFO, horizon, RngStream(1009).child("mc"),
                       sample_times=np.linspace(0.0, horizon, int(horizon) + 1))
     keep = traj.tagged[int(warm):]
     n_batches = 20
@@ -510,8 +509,7 @@ def test_criterion_11_cavity_tv_decay():
     root = RngStream(1011)
     term = []
     for r in range(4000):
-        traj = run_cavity(d, lam, TailProfile.stationary(d, lam), ERL4, FIFO,
-                          t_probe, root.child("erl", r),
+        traj = run_cavity(d, lam, ERL4, FIFO, t_probe, root.child("erl", r),
                           sample_times=[t_probe])
         term.append(int(traj.tagged[-1]))
     q = np.zeros(gen_e.shape[0])

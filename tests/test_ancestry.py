@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from podd.ancestry import _bits, build_clan, clan_monte_carlo, clan_stats
+from podd.ancestry import _aggregate, _bits, build_clan, clan_monte_carlo
 from podd.core import RngStream
 from podd.engine import ArrivalEvent, EventLog, sample_arrival_log
 from podd.rates import BoundInputs, clan_intersection_bound, clan_size_bound
@@ -63,46 +63,19 @@ class TestBuildClan:
             assert bool(a & b) == bool(b & a)
 
 
-class TestClanStats:
-    def test_t_zero(self):
-        logs = [sample_arrival_log(8, 2, 0.5, 1.0, RngStream(23).child("z", r))
-                for r in range(5)]
-        st = clan_stats(logs, [(0, 1)], [0.0])
-        assert st.mean_size == (1.0,)
-        assert st.p_intersect == (0.0,)
-
-    def test_matches_build_clan(self):
-        logs = [sample_arrival_log(10, 2, 0.6, 1.5, RngStream(24).child("m", r))
-                for r in range(30)]
-        pairs = [(0, 1), (2, 7)]
-        grid = (0.5, 1.5)
-        st = clan_stats(logs, pairs, grid)
-        for ti, t in enumerate(grid):
-            sizes, hits = [], []
-            for log in logs:
-                for i, j in pairs:
-                    a = build_clan(log, i, t).psi
-                    b = build_clan(log, j, t).psi
-                    sizes.append((len(a) + len(b)) / 2)
-                    hits.append(1.0 if a & b else 0.0)
-            szs = np.asarray(sizes).reshape(len(logs), len(pairs)).mean(axis=1)
-            hts = np.asarray(hits).reshape(len(logs), len(pairs)).mean(axis=1)
-            assert st.mean_size[ti] == pytest.approx(szs.mean())
-            assert st.p_intersect[ti] == pytest.approx(hts.mean())
-
-    def test_rejects_equal_pair(self):
-        logs = [sample_arrival_log(5, 2, 0.5, 1.0, RngStream(25))]
-        with pytest.raises(ValueError):
-            clan_stats(logs, [(2, 2)], [0.5])
-
-
 def assert_mc_matches_logs(n, d, lam, grid, reps, seed):
     # both samplers target the same law; their means must agree within
     # combined CI noise
     mc = clan_monte_carlo(n, d, lam, grid, reps, RngStream(seed).child("mc"))
     logs = [sample_arrival_log(n, d, lam, grid[-1], RngStream(seed).child("lg", r))
             for r in range(reps)]
-    ref = clan_stats(logs, [(0, 1)], grid)
+    sizes, hits = [], []
+    for log in logs:
+        clans = [(build_clan(log, 0, t).psi, build_clan(log, 1, t).psi)
+                 for t in grid]
+        sizes.append([(len(a) + len(b)) / 2 for a, b in clans])
+        hits.append([1.0 if a & b else 0.0 for a, b in clans])
+    ref = _aggregate(np.asarray(sizes), np.asarray(hits), grid)
     for i in range(len(grid)):
         tol = mc.size_ci[i] + ref.size_ci[i]
         assert abs(mc.mean_size[i] - ref.mean_size[i]) < max(tol, 0.05), grid[i]
@@ -135,10 +108,17 @@ class TestClanMonteCarlo:
         with pytest.raises(ValueError, match="D"):
             clan_monte_carlo(2, 3, 0.5, (0.5,), 5, RngStream(1))
 
-    @pytest.mark.parametrize("pair", [(0, 10), (-1, 3)])
-    def test_pair_outside_servers_rejected(self, pair):
-        with pytest.raises(ValueError, match="range"):
+    @pytest.mark.parametrize("pair,match", [
+        ((0, 10), "range"), ((-1, 3), "range"), ((3, 3), "distinct"),
+    ], ids=["pair0", "pair1", "pair2"])
+    def test_pair_outside_servers_rejected(self, pair, match):
+        with pytest.raises(ValueError, match=match):
             clan_monte_carlo(10, 2, 0.5, (0.5,), 5, RngStream(1), pair=pair)
+
+    def test_t_zero(self):
+        st = clan_monte_carlo(8, 2, 0.5, (0.0, 0.5), 50, RngStream(23).child("z"))
+        assert st.mean_size[0] == 1.0
+        assert st.p_intersect[0] == 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):

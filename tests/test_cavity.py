@@ -3,40 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from podd.cavity import (CoupledPair, TailProfile, level_distribution,
-                         mean_field_profile, run_cavity, run_coupled,
-                         tv_distance)
+from podd.cavity import (CoupledPair, level_distribution, run_cavity,
+                         run_coupled, tv_distance)
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.rates import asymptotic_tail, cavity_rate
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()
-
-
-class TestTailProfile:
-    def test_stationary_values(self):
-        p = TailProfile.stationary(2, 0.5)
-        assert [p.p(0.0, k) for k in range(4)] == [1.0, 0.5, 0.125, 0.0078125]
-        assert p.p(5.0, 2) == 0.125  # time-invariant
-
-    def test_stationary_deep_levels_vanish(self):
-        p = TailProfile.stationary(3, 0.9)
-        assert p.p(0.0, 40) == 0.0
-
-    def test_empirical_lookup(self):
-        p = TailProfile.empirical([0.0, 1.0], [[1.0, 0.4], [1.0, 0.6]])
-        assert p.p(0.5, 1) == 0.4
-        assert p.p(1.5, 1) == 0.6
-        assert p.p(0.5, 7) == 0.0   # beyond the table
-        assert p.p(-1.0, 1) == 0.4  # clamped before the first knot
-
-    def test_empirical_validated(self):
-        with pytest.raises(ValueError):
-            TailProfile.empirical([0.0], [[0.9, 0.4]])   # p_0 != 1
-        with pytest.raises(ValueError):
-            TailProfile.empirical([0.0], [[1.0, 0.4, 0.5]])  # not non-increasing
-        with pytest.raises(ValueError):
-            TailProfile("sideways")
 
 
 class TestTvDistance:
@@ -64,36 +37,26 @@ class TestLevelDistribution:
 
 
 class TestRunCavity:
-    def test_zero_profile_caps_queue(self):
-        # p_k = 0 for k >= 1: arrivals only happen at level 0
-        profile = TailProfile.empirical([0.0], [[1.0, 0.0]])
-        traj = run_cavity(2, 0.5, profile, EXP, FIFO, 200.0,
-                          RngStream(31).child("cap"),
-                          sample_times=np.linspace(0, 200, 401))
-        assert traj.tagged.max() <= 1
-
     def test_thinning_matches_birth_death(self):
-        # constant profile: the queue is a birth-death chain with rates
-        # (lam_k, 1); compare the time-average occupancy to the exact
+        # under the stationary tail the queue is a birth-death chain with
+        # rates (lam_k, 1); compare the time-average occupancy to the exact
         # stationary law
-        table = [[1.0, 0.6, 0.3, 0.1]]
-        profile = TailProfile.empirical([0.0], table)
-        d, lam = 2, 0.5
-        lam_k = [cavity_rate(d, lam, profile.p(0, k), profile.p(0, k + 1))
+        d, lam = 3, 0.7
+        lam_k = [cavity_rate(d, lam, asymptotic_tail(d, lam, k),
+                             asymptotic_tail(d, lam, k + 1))
                  for k in range(8)]
         w = [1.0]
         for r in lam_k:
             w.append(w[-1] * r)
         pi = np.asarray(w) / sum(w)
-        traj = run_cavity(d, lam, profile, EXP, FIFO, 6000.0,
+        traj = run_cavity(d, lam, EXP, FIFO, 6000.0,
                           RngStream(32).child("bd"),
                           sample_times=np.linspace(500, 6000, 5501))
         emp = np.bincount(traj.tagged, minlength=len(pi))[: len(pi)] / traj.tagged.size
         assert tv_distance(emp / emp.sum(), pi / pi.sum()) < 0.02
 
     def test_stationary_tail_prediction(self):
-        profile = TailProfile.stationary(2, 0.5)
-        traj = run_cavity(2, 0.5, profile, EXP, FIFO, 8000.0,
+        traj = run_cavity(2, 0.5, EXP, FIFO, 8000.0,
                           RngStream(33).child("st"),
                           sample_times=np.linspace(500, 8000, 7501))
         for k in range(4):
@@ -101,23 +64,22 @@ class TestRunCavity:
             assert abs(p_hat - asymptotic_tail(2, 0.5, k)) < 0.02
 
     def test_deterministic_given_stream(self):
-        profile = TailProfile.stationary(2, 0.5)
-        a = run_cavity(2, 0.5, profile, EXP, PS, 50.0, RngStream(34).child("d"),
+        a = run_cavity(2, 0.5, EXP, PS, 50.0, RngStream(34).child("d"),
                        sample_times=[10.0, 50.0])
-        b = run_cavity(2, 0.5, profile, EXP, PS, 50.0, RngStream(34).child("d"),
+        b = run_cavity(2, 0.5, EXP, PS, 50.0, RngStream(34).child("d"),
                        sample_times=[10.0, 50.0])
         assert (a.tagged == b.tagged).all()
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
     def test_bad_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
-            run_cavity(2, 0.5, TailProfile.stationary(2, 0.5), EXP, FIFO,
-                       horizon, RngStream(0), sample_times=[1.0])
+            run_cavity(2, 0.5, EXP, FIFO, horizon, RngStream(0),
+                       sample_times=[1.0])
 
     def test_nan_sample_time_rejected(self):
         with pytest.raises(ValueError, match="sample times"):
-            run_cavity(2, 0.5, TailProfile.stationary(2, 0.5), EXP, FIFO,
-                       2.0, RngStream(0), sample_times=[1.0, math.nan])
+            run_cavity(2, 0.5, EXP, FIFO, 2.0, RngStream(0),
+                       sample_times=[1.0, math.nan])
 
 
 class TestRunCoupled:
@@ -192,21 +154,3 @@ class TestRunCoupled:
             run_coupled(4, 2, lam, EXP, FIFO, Configuration.empty(4), 2.0,
                         RngStream(0))
 
-
-class TestMeanFieldProfile:
-    def test_shape_and_monotonicity(self):
-        prof = mean_field_profile(50, 2, 0.5, EXP, FIFO, 2.0, n_reps=4,
-                                  n_knots=9, rng=RngStream(40), k_max=6)
-        assert prof.mode == "empirical"
-        assert len(prof.knots) == 9
-        for row in prof.table:
-            assert row[0] == 1.0
-            assert all(a >= b for a, b in zip(row, row[1:]))
-
-    def test_tracks_limit_at_moderate_n(self):
-        prof = mean_field_profile(300, 2, 0.5, EXP, FIFO, 30.0, n_reps=3,
-                                  n_knots=31, rng=RngStream(41), k_max=8)
-        # late-time profile should be near the stationary tail
-        late = prof.table[-1]
-        for k in range(3):
-            assert abs(late[k] - asymptotic_tail(2, 0.5, k)) < 0.05

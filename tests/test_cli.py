@@ -82,6 +82,20 @@ class TestParseConfig:
             assert parse_config(spec.to_json()) == spec
 
 
+# service parameters that parse_config used to accept: the run hung, ran
+# another law or ended in a traceback
+SIM4 = {"kind": "simulate", "N": [4], "D": [2], "lambda": [0.5],
+        "horizon": 2.0, "seed": 1}
+BAD_SERVICES = {
+    "lognormal-sigma-nan": {"kind": "lognormal", "sigma": math.nan},
+    "erlang-shape-2.5": {"kind": "erlang", "shape": 2.5},
+    "erlang-shape-true": {"kind": "erlang", "shape": True},
+    "hyperexp-cv2-inf": {"kind": "hyperexponential", "cv2": math.inf},
+    "hyperexp-cv2-nan": {"kind": "hyperexponential", "cv2": math.nan},
+    "weibull-gamma-overflow": {"kind": "weibull", "shape": 0.005},
+}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "bounds", "seed": 1})
@@ -118,10 +132,12 @@ class TestExitCodes:
           "horizon": math.inf, "seed": 1}, "horizon"),
         ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 2.0, "seed": 1, "service": [1]}, "service"),
+        *[({**SIM4, "service": v}, "service") for v in BAD_SERVICES.values()],
     ], ids=["chaos-replications", "chaos-t-zero", "tagged-t-zero",
             "stationary-n-batches", "stationary-horizon-before-warmup",
             "rates-check-load-rounds-to-1",
-            "simulate-horizon-inf", "simulate-service-not-object"])
+            "simulate-horizon-inf", "simulate-service-not-object",
+            *BAD_SERVICES])
     def test_driver_refusal_is_2(self, tmp_path, capsys, doc, field):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
@@ -264,6 +280,26 @@ class TestManifest:
         main(["bounds", "--config", cfg, "--out", str(out), "--seed", "42"])
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["seed"] == 42
+
+    def test_seed_override_matches_seed_in_file(self, tmp_path):
+        # a hyperexponential whose rescaled rates move by an ulp if rescaled
+        # again; --seed re-parses the spec's config form
+        doc = {"kind": "simulate", "N": [4], "D": [2], "lambda": [0.5],
+               "horizon": 1.0, "seed": 5,
+               "service": {"kind": "hyperexponential", "weights": [0.3, 0.7],
+                           "rates": [0.5, 5]}}
+        manifests = []
+        for name, seed_args in (("in-file", []), ("override", ["--seed", "5"])):
+            cfg = write_config(tmp_path, {**doc, "seed": 5 if not seed_args else 1},
+                               name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         *seed_args]) == 0
+            with open(out / "manifest.json") as fh:
+                manifest = json.load(fh)
+            del manifest["wall_time_s"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
 
 def read_all(out_dir):

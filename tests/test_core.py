@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podd.core import (Configuration, Discipline, FIFO, LIFO_PR, PS,
-                       RngStream, ServiceDistribution, tail_counts)
+                       RngStream, ServiceDistribution,
+                       tail_counts_from_lengths)
 
 
 def config_from_lengths(lengths):
@@ -16,37 +18,33 @@ def config_from_lengths(lengths):
 
 class TestTailCounts:
     def test_all_empty(self):
-        tc = tail_counts(Configuration.empty(3), 2)
+        tc = tail_counts_from_lengths(Configuration.empty(3).lengths(), 2)
         assert tc.pi == (3, 0, 0)
 
     def test_hand_count(self):
         # lengths (3, 1, 2): one server >= 3, two >= 2, all >= 1
-        tc = tail_counts(config_from_lengths([3, 1, 2]), 3)
+        tc = tail_counts_from_lengths(config_from_lengths([3, 1, 2]).lengths(), 3)
         assert tc.pi == (3, 3, 2, 1)
 
     def test_uniform_level(self):
         k = 4
-        tc = tail_counts(config_from_lengths([k] * 7), 6)
+        tc = tail_counts_from_lengths(config_from_lengths([k] * 7).lengths(), 6)
         assert tc.pi == (7, 7, 7, 7, 7, 0, 0)
 
     def test_get_past_end_is_zero(self):
-        tc = tail_counts(Configuration.empty(3), 1)
+        tc = tail_counts_from_lengths(Configuration.empty(3).lengths(), 1)
         assert tc.get(17) == 0
-
-    def test_k_max_validated(self):
-        with pytest.raises(ValueError):
-            tail_counts(Configuration.empty(3), 0)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=20))
     def test_monotone_and_top(self, lengths):
-        tc = tail_counts(config_from_lengths(lengths), 8)
+        tc = tail_counts_from_lengths(config_from_lengths(lengths).lengths(), 8)
         assert tc.pi[0] == len(lengths)
         assert all(a >= b for a, b in zip(tc.pi, tc.pi[1:]))
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=15))
     def test_level_counts(self, lengths):
         # integer identity: pi_k - pi_{k+1} is the number of servers at level k
-        tc = tail_counts(config_from_lengths(lengths), 7)
+        tc = tail_counts_from_lengths(config_from_lengths(lengths).lengths(), 7)
         for k in range(8):
             assert tc.get(k) - tc.get(k + 1) == lengths.count(k)
 
@@ -85,9 +83,13 @@ DISTS = [
 
 
 class TestServiceDistributions:
-    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
+    # the only constructor whose mean-1 rescale is not exact by construction
+    @pytest.mark.parametrize(
+        "dist", [d for d in DISTS if d.kind == "hyperexponential"],
+        ids=lambda d: d.kind)
     def test_analytic_mean_is_one(self, dist):
-        assert abs(dist.mean() - 1.0) < 1e-12
+        weights, rates = dist.params
+        assert abs(sum(w / r for w, r in zip(weights, rates)) - 1.0) < 1e-12
 
     def test_deterministic_is_exact(self):
         d = ServiceDistribution.deterministic()
@@ -122,6 +124,17 @@ class TestServiceDistributions:
     def test_json_round_trip(self, dist):
         assert ServiceDistribution.from_json(dist.to_json()) == dist
 
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                    min_size=1, max_size=4))
+    def test_hyperexponential_round_trip_is_fixed(self, phases):
+        # the config form a manifest writes must parse back to the same
+        # params and write the same config form again
+        dist = ServiceDistribution.hyperexponential(*zip(*phases))
+        doc = json.loads(json.dumps(dist.to_json()))
+        again = ServiceDistribution.from_json(doc)
+        assert again.params == dist.params
+        assert again.to_json() == doc
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             ServiceDistribution.erlang(0)
@@ -129,6 +142,16 @@ class TestServiceDistributions:
             ServiceDistribution.hyperexponential([1.0], [-2.0])
         with pytest.raises(ValueError):
             ServiceDistribution.hyperexponential_cv2(0.5)
+        for doc in ({"kind": "lognormal", "sigma": math.nan},
+                    {"kind": "erlang", "shape": 2.5},
+                    {"kind": "erlang", "shape": True},
+                    {"kind": "hyperexponential", "cv2": math.inf},
+                    {"kind": "hyperexponential", "cv2": math.nan},
+                    {"kind": "hyperexponential", "weights": [1.0],
+                     "rates": [math.inf]},
+                    {"kind": "weibull", "shape": 0.005}):
+            with pytest.raises(ValueError):
+                ServiceDistribution.from_json(doc)
 
 
 class TestRngStream:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
-                       ServiceDistribution, tail_counts)
+                       ServiceDistribution, tail_counts_from_lengths)
 from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
                          _Buffer, _route, _System)
 from podd.rates import RateInputs, arrival_rate_closed
@@ -171,7 +171,8 @@ class TestSnapshots:
         init = config_from_lengths([2, 0, 1], seed=9)
         traj, _ = run(3, 2, 0.5, EXP, FIFO, init, 1.0, [0.0, 1.0],
                       RngStream(7).child("snap"))
-        assert snapshot(traj, 0.0).pi == tail_counts(init, 2).pi[: len(snapshot(traj, 0.0).pi)]
+        pi = tail_counts_from_lengths(init.lengths(), 2).pi
+        assert snapshot(traj, 0.0).pi == pi[: len(snapshot(traj, 0.0).pi)]
 
     def test_monotone_and_normalized(self):
         traj, _ = run(8, 2, 0.6, EXP, PS, Configuration.empty(8), 5.0,

@@ -5,7 +5,7 @@ cover what no CSV keeps: departure logs of `run` under each discipline (at
 D = 2 both by rejection sampling and by permutation), both trajectories and
 both arrival logs of the coupled pair over several sample times (including
 simultaneous departures under deterministic service), and a cavity
-trajectory driven by an empirical profile.  Every float is hashed through
+trajectory driven by the stationary tail.  Every float is hashed through
 its exact `repr`, and every array with its dtype.
 """
 import dataclasses
@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from podd.cavity import mean_field_profile, run_cavity, run_coupled
+from podd.cavity import run_cavity, run_coupled
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution)
 from podd.engine import run
@@ -122,13 +122,9 @@ def _coupled_lifo_d1():
                        enable=("yellow", "blue"), record_events=True)
 
 
-def _cavity_empirical():
-    profile = mean_field_profile(20, 2, 0.7, ERL4, PS, 10.0, 3, 6,
-                                 RngStream(47).child("profile"), k_max=8)
-    traj = run_cavity(2, 0.7, profile, ERL4, PS, 30.0,
-                      RngStream(47).child("cavity"),
+def _cavity_stationary():
+    return run_cavity(2, 0.7, ERL4, PS, 30.0, RngStream(47).child("cavity"),
                       sample_times=np.linspace(0.0, 30.0, 31))
-    return profile, traj
 
 
 CASES = {
@@ -162,9 +158,9 @@ CASES = {
     "coupled-lifo-d1-yellow-blue":
         (_coupled_lifo_d1,
          "c10e48d8058ae550f101b28b037e732927abdca317004f4c307f30c82d1dc5af"),
-    "cavity-empirical-profile":
-        (_cavity_empirical,
-         "4fab653ab9e0b8fd8c3d4ebce5c986b7717c41a434219e37e0d5d7ac8e2511b6"),
+    "cavity-stationary":
+        (_cavity_stationary,
+         "ac0ceef30661e39d743bf60ace64a74b1675e2e90ddf1f0df509e94d3e731144"),
 }
 
 

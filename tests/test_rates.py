@@ -296,6 +296,10 @@ class TestAsymptoticTail:
     def test_d1_is_geometric(self):
         assert asymptotic_tail(1, 0.7, 3) == 0.7**3
 
+    def test_deep_levels_vanish(self):
+        # the exponent (3^40 - 1)/2 is about 6e18: the power underflows to 0
+        assert asymptotic_tail(3, 0.9, 40) == 0.0
+
     @given(st.integers(2, 5), st.floats(0.05, 0.95), st.integers(0, 6))
     @settings(max_examples=80)
     def test_recursion(self, d, lam, k):
