@@ -285,16 +285,17 @@ class TestManifest:
         # a hyperexponential whose rescaled rates move by an ulp if rescaled
         # again; --seed re-parses the spec's config form
         doc = {"kind": "simulate", "N": [4], "D": [2], "lambda": [0.5],
-               "horizon": 1.0, "seed": 5,
+               "horizon": 1.0,
                "service": {"kind": "hyperexponential", "weights": [0.3, 0.7],
                            "rates": [0.5, 5]}}
         manifests = []
-        for name, seed_args in (("in-file", []), ("override", ["--seed", "5"])):
-            cfg = write_config(tmp_path, {**doc, "seed": 5 if not seed_args else 1},
+        for name, seed, extra in (("in-file", 5, []),
+                                  ("override", 1, ["--seed", "5"])):
+            cfg = write_config(tmp_path, {**doc, "seed": seed},
                                name=f"{name}.json")
             out = tmp_path / name
             assert main(["simulate", "--config", cfg, "--out", str(out),
-                         *seed_args]) == 0
+                         *extra]) == 0
             with open(out / "manifest.json") as fh:
                 manifest = json.load(fh)
             del manifest["wall_time_s"]
