@@ -91,25 +91,51 @@ def _aggregate(sizes, hits, t_grid) -> ClanStats:
 
 
 def _distinct_rows(gen, n_rows, N, D):
-    """Uniform D-subsets of range(N), one per row, by rejection on duplicates."""
+    """Uniform D-subsets of range(N), one per row, by rejection on duplicates.
+
+    All rows are drawn at once; then every row holding a repeated server is
+    redrawn, in row order, and only the redrawn rows are checked again."""
     z = gen.integers(0, N, size=(n_rows, D))
-    if D > 1:
-        s = np.sort(z, axis=1)
-        bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-        while bad.any():
-            z[bad] = gen.integers(0, N, size=(int(bad.sum()), D))
-            s = np.sort(z, axis=1)
-            bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-    return z
+    redo = np.arange(n_rows)
+    part = z
+    while True:
+        bad = np.zeros(redo.size, dtype=bool)
+        for a in range(1, D):
+            for b in range(a):
+                bad |= part[:, a] == part[:, b]
+        redo = redo[bad]
+        if not redo.size:
+            return z
+        part = gen.integers(0, N, size=(redo.size, D))
+        z[redo] = part
+
+
+# Replications scanned together: at most this many (replication, server)
+# cells per block, so the clan matrices stay a few MB at any N.
+BLOCK_CELLS = 1 << 22
 
 
 def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
                      pair=(0, 1)) -> ClanStats:
     """Replication driver tracking one server pair.
 
-    Draws arrival logs directly (Poisson count, sorted uniform times, sampled
-    D-sets as an array) instead of going through the event-by-event engine;
-    exchangeability makes the tracked pair (0, 1) representative of any pair.
+    Scanning backwards from the horizon t_max = max(t_grid), band g holds the
+    arrivals between times t_max - t_g and t_max - t_{g-1} (t_{-1} = 0).  Only
+    how many arrivals fall in each band matters: D-sets are i.i.d. and
+    independent of the arrival times, so the band counts are drawn as
+    independent Poisson(lam*N*(t_g - t_{g-1})) variables and no times are
+    drawn.  Exchangeability makes the tracked pair representative of any
+    pair.
+
+    Order of draws: first the band counts, one (n_reps, len(t_grid)) Poisson
+    array.  Then the replications go in blocks of
+    max(1, BLOCK_CELLS // N) consecutive ones; within a block, band by band,
+    step k = 0, 1, ... draws one `_distinct_rows` array with one D-set for
+    each replication that has more than k arrivals in the band, in
+    increasing replication order.  Step k's D-set is that replication's
+    (k+1)-th arrival of the band counted backwards in time.  Each of the two
+    clans, a boolean membership row per replication, absorbs a D-set it
+    meets; sizes and intersections are read at the end of each band.
     """
     i, j = pair
     if not 1 <= D <= N:
@@ -123,36 +149,30 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
         raise ValueError("time grid must not be empty")
     ng = len(t_grid)
     gen = as_generator(rng)
-    horizon = t_grid[-1]
-    starts = [horizon - t for t in t_grid]
-    bit = [1 << s for s in range(N)]
+    widths = np.diff(np.asarray((0.0,) + t_grid))
+    counts = gen.poisson(lam * N * widths, size=(n_reps, ng))
     sizes = np.empty((n_reps, ng))
     hits = np.empty((n_reps, ng))
-    counts = gen.poisson(lam * N * horizon, size=n_reps)
-    for r in range(n_reps):
-        n_arr = int(counts[r])
-        times = (np.sort(gen.random(n_arr)) * horizon).tolist()
-        zetas = _distinct_rows(gen, n_arr, N, D).tolist() if n_arr else []
-        a = bit[i]
-        b = bit[j]
-        gi = 0
-        for idx in range(n_arr - 1, -1, -1):
-            tv = times[idx]
-            while gi < ng and tv < starts[gi]:
-                sizes[r, gi] = (a.bit_count() + b.bit_count()) / 2
-                hits[r, gi] = 1.0 if a & b else 0.0
-                gi += 1
-            if gi >= ng:
-                break
-            z = 0
-            for s in zetas[idx]:
-                z |= bit[s]
-            if a & z:
-                a |= z
-            if b & z:
-                b |= z
-        while gi < ng:
-            sizes[r, gi] = (a.bit_count() + b.bit_count()) / 2
-            hits[r, gi] = 1.0 if a & b else 0.0
-            gi += 1
+    block = max(1, BLOCK_CELLS // N)
+    for lo in range(0, n_reps, block):
+        m = counts[lo:lo + block]
+        a = np.zeros((m.shape[0], N), dtype=bool)
+        b = np.zeros_like(a)
+        a[:, i] = True
+        b[:, j] = True
+        flat = (a.reshape(-1), b.reshape(-1))    # views: writes land in a, b
+        for g in range(ng):
+            col = m[:, g]
+            done = 0
+            # between two distinct counts, the same replications step
+            for stop in sorted(set(col.tolist())):
+                base = np.flatnonzero(col >= stop)[:, None] * N
+                for _ in range(stop - done):
+                    cells = base + _distinct_rows(gen, base.size, N, D)
+                    for c in flat:
+                        met = cells[c[cells].any(axis=1)]
+                        c[met] = True
+                done = stop
+            sizes[lo:lo + block, g] = (a.sum(axis=1) + b.sum(axis=1)) / 2
+            hits[lo:lo + block, g] = (a & b).any(axis=1)
     return _aggregate(sizes, hits, t_grid)

@@ -97,8 +97,13 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     system's total arrival rate (rate lam*(D-1) for the small system, lam*D
     for the large one, the latter always sampling the extra server).  Jobs
     born of a shared arrival that lands on the same server index in both
-    systems also share their service requirement.  `enable` exists for
-    testing: disabled streams emit nothing.
+    systems also share their service requirement.  A shared arrival draws
+    one uniform u, and each system breaks a tie among its shortest sampled
+    queues by u (the tied server at index int(u * ties) in D-set order), so
+    where the sampled lengths agree both systems route alike.  Each system
+    alone still breaks ties with a fresh uniform per arrival: only the joint
+    law is coupled.  `enable` exists for testing: disabled streams emit
+    nothing.
 
     Both systems live in one kernel of 2N+1 servers: 0..N-1 are the small
     system and N..2N the large one (server N+i is the large system's server
@@ -136,8 +141,10 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         counts[stream] += 1
         if stream == "yellow":
             zeta = _sample_zeta(gen, unext, N, D)
-            s_small = _route(lengths, zeta, unext)
-            s_large = _route(lengths, tuple(N + s for s in zeta), unext) - N
+            u = unext()
+            tie = lambda: u   # the same tie-break in both systems
+            s_small = _route(lengths, zeta, tie)
+            s_large = _route(lengths, tuple(N + s for s in zeta), tie) - N
             svc = snext()
             arrive(s_small, t, svc)
             arrive(N + s_large, t, svc if s_large == s_small else snext())

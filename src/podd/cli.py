@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .ancestry import clan_monte_carlo
 from .cavity import level_distribution, run_cavity, run_coupled, tv_distance
-from .core import Configuration, Discipline, RngStream, ServiceDistribution
+from .core import (RNG_KEY_LIMIT, Configuration, Discipline, RngStream,
+                   ServiceDistribution)
 from .engine import run
 from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
                          stationary_tail, z_value)
@@ -107,6 +108,13 @@ def _int_from(lo, **kind_lo):
     return parse
 
 
+def _seed(v, kind):
+    v = _int_from(0)(v, kind)
+    if v >= RNG_KEY_LIMIT:
+        raise ValueError("the seed must be below 2**64")
+    return v
+
+
 def _reals(v, kind):
     if not isinstance(v, list) or not v or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -171,7 +179,7 @@ def _same(v):
 
 # config key -> (ExperimentSpec attribute, parser, encoder to JSON)
 _FIELDS = {
-    "seed": ("seed", _int_from(0), _same),
+    "seed": ("seed", _seed, _same),
     "N": ("N", _ints(1, "system sizes"), list),
     "D": ("D", _ints(1, "sample sizes"), list),
     "lambda": ("lam", _loads, list),

@@ -4,14 +4,25 @@ distributions, scheduling disciplines, and the reproducible-randomness contract.
 from __future__ import annotations
 
 import math
-import zlib
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    # hashlib.blake2b itself; importing hashlib also loads OpenSSL, which
+    # costs every run about 3.5 MB of resident memory
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 # ---------------------------------------------------------------------------
 # Randomness
 # ---------------------------------------------------------------------------
+
+# Master seeds and child indices lie in [0, RNG_KEY_LIMIT).
+RNG_KEY_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -22,6 +33,12 @@ class RngStream:
     (seed, path) reproduces the same sequence on every platform.  Substreams
     can therefore be handed to replications in any schedule without changing
     the numbers each replication sees.
+
+    Each path step adds a fixed number of 32-bit words to the spawn key: four
+    from a 128-bit blake2b digest of the label, then the index as two words.
+    Fixed widths keep two different paths from flattening into one key.  The
+    master seed and every index must lie in [0, 2**64); a `ValueError` says
+    otherwise, instead of a reduction that would alias two streams.
     """
 
     master_seed: int
@@ -31,12 +48,19 @@ class RngStream:
         return RngStream(self.master_seed, self.path + ((label, index),))
 
     def generator(self) -> np.random.Generator:
+        seed = int(self.master_seed)
+        if not 0 <= seed < RNG_KEY_LIMIT:
+            raise ValueError("master seed must lie in [0, 2**64)")
         key = []
         for label, index in self.path:
-            key.append(zlib.crc32(str(label).encode("utf-8")) & 0xFFFFFFFF)
-            key.append(int(index) & 0xFFFFFFFF)
-        ss = np.random.SeedSequence(entropy=int(self.master_seed) & (2**64 - 1),
-                                    spawn_key=tuple(key))
+            index = int(index)
+            if not 0 <= index < RNG_KEY_LIMIT:
+                raise ValueError("stream index must lie in [0, 2**64)")
+            digest = blake2b(str(label).encode("utf-8"),
+                             digest_size=16).digest()
+            key += struct.unpack("<4I", digest)
+            key += (index & 0xFFFFFFFF, index >> 32)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
         return np.random.Generator(np.random.Philox(ss))
 
 
@@ -187,13 +211,14 @@ class ServiceDistribution:
     def weibull(cls, shape: float):
         if not 0 < shape < math.inf:
             raise ValueError("weibull shape must be positive and finite")
-        try:
-            g = math.gamma(1.0 + 1.0 / shape)  # the scale is 1/g
-        except OverflowError:
-            g = math.inf
-        if g == math.inf:
-            raise ValueError("weibull shape too small: Gamma(1 + 1/shape) "
-                             "overflows")
+        # A draw is E**(1/shape) / Gamma(1 + 1/shape) for a standard
+        # exponential E, which numpy draws as small as about 2**-53.  Below
+        # the smallest subnormal such a draw rounds to a 0.0 service time
+        # (shape < ~0.052); Gamma itself overflows only deeper in that range.
+        low = -math.lgamma(1.0 + 1.0 / shape) + math.log(2.0**-53) / shape
+        if low < math.log(5e-324):
+            raise ValueError("weibull shape too small: a service time can "
+                             "round to 0")
         return cls("weibull", (float(shape),))
 
     # -- analytics ----------------------------------------------------------

@@ -298,7 +298,12 @@ def asymptotic_tail(d: int, lam: float, k: int):
         raise ValueError("level must be non-negative")
     if d == 1:
         return lam ** k
-    return lam ** ((d**k - 1) // (d - 1))
+    try:
+        return lam ** ((d**k - 1) // (d - 1))
+    except OverflowError:
+        # a float load: the exponent is past float range, where the true
+        # tail underflows anyway
+        return 0.0
 
 
 def cavity_rate(d: int, lam, p_k, p_k1):

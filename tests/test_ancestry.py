@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from podd import ancestry
 from podd.ancestry import _aggregate, _bits, build_clan, clan_monte_carlo
 from podd.core import RngStream
 from podd.engine import ArrivalEvent, EventLog, sample_arrival_log
@@ -128,6 +129,79 @@ class TestClanMonteCarlo:
         a = clan_monte_carlo(15, 2, 0.5, (1.0,), 50, RngStream(28).child("det"))
         b = clan_monte_carlo(15, 2, 0.5, (1.0,), 50, RngStream(28).child("det"))
         assert a == b
+
+
+class _PoissonRecorder:
+    """Generator proxy that keeps a copy of every Poisson array it returns."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.poisson_draws = []
+
+    def poisson(self, *args, **kwargs):
+        out = self.gen.poisson(*args, **kwargs)
+        self.poisson_draws.append(out.copy())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def logs_from_draws(n, d, grid, counts, dsets, block):
+    """Each replication's EventLog, rebuilt from the band counts and the
+    `_distinct_rows` arrays in the draw order `clan_monte_carlo` documents:
+    blocks of replications, bands, then steps.  Band g's arrivals get evenly
+    spaced times strictly inside the band, later in time for earlier steps."""
+    horizon = grid[-1]
+    events = [[] for _ in range(counts.shape[0])]
+    draws = iter(dsets)
+    for lo in range(0, counts.shape[0], block):
+        m = counts[lo:lo + block]
+        for g, t in enumerate(grid):
+            prev = grid[g - 1] if g else 0.0
+            for k in range(int(m[:, g].max(initial=0))):
+                rows = np.flatnonzero(m[:, g] > k)
+                z = next(draws)
+                assert z.shape == (rows.size, d)
+                for r, zeta in zip(rows, z.tolist()):
+                    frac = (k + 1) / (m[r, g] + 1)
+                    events[lo + r].append((horizon - prev - frac * (t - prev),
+                                           zeta))
+    assert next(draws, None) is None
+    return [make_log(n, horizon, sorted(ev)) if ev else
+            EventLog(horizon=horizon, N=n, D=d) for ev in events]
+
+
+class TestBlockScanExact:
+    """The block scan is `build_clan` on the logs its own draws describe:
+    equal to the last bit, not only in law."""
+
+    @pytest.mark.parametrize("n,d", [(10, 2), (10, 3), (100, 2), (100, 3)])
+    def test_matches_build_clan_on_recorded_draws(self, monkeypatch, n, d):
+        grid, reps = (0.0, 0.25, 0.5, 1.0), 60
+        dsets = []
+        real = ancestry._distinct_rows
+
+        def recording(gen, n_rows, N, D):
+            z = real(gen, n_rows, N, D)
+            dsets.append(z.copy())
+            return z
+
+        monkeypatch.setattr(ancestry, "_distinct_rows", recording)
+        # blocks of 7 replications, the last one partial
+        monkeypatch.setattr(ancestry, "BLOCK_CELLS", 7 * n)
+        gen = _PoissonRecorder(RngStream(31).child("exact", n * d).generator())
+        mc = clan_monte_carlo(n, d, 0.5, grid, reps, gen)
+        counts, = gen.poisson_draws
+        sizes, hits, top = [], [], 0
+        for log in logs_from_draws(n, d, grid, counts, dsets, 7):
+            clans = [(build_clan(log, 0, t).psi, build_clan(log, 1, t).psi)
+                     for t in grid]
+            sizes.append([(len(a) + len(b)) / 2 for a, b in clans])
+            hits.append([1.0 if a & b else 0.0 for a, b in clans])
+            top = max(top, *clans[-1][0], *clans[-1][1])
+        assert mc == _aggregate(np.asarray(sizes), np.asarray(hits), grid)
+        assert (top > 63) == (n > 64)
 
 
 class TestIndependenceSurrogate:

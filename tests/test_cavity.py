@@ -119,6 +119,23 @@ class TestRunCoupled:
         assert (pair.traj_small.final_lengths
                 == pair.traj_large.final_lengths[:-1]).all()
 
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_shared_tie_break_keeps_systems_close(self, n):
+        # both routes of a shared arrival break a tie by one uniform, so from
+        # an empty start few servers differ at t = 1 (about 1.5, the extra
+        # server included); one tie-break per route left about 12 differing
+        # at N = 50 and 49 at N = 200
+        reps = 300
+        root = RngStream(40)
+        differ = 0
+        for r in range(reps):
+            pair = run_coupled(n, 2, 0.7, EXP, FIFO, Configuration.empty(n),
+                               1.0, root.child("tie", r))
+            small = pair.traj_small.final_lengths
+            large = pair.traj_large.final_lengths
+            differ += int((small != large[:-1]).sum()) + int(large[-1] != 0)
+        assert differ / reps < 3
+
     def test_determinism(self):
         kw = dict(sample_times=[1.0, 3.0])
         a = run_coupled(10, 2, 0.5, EXP, PS, Configuration.empty(10), 3.0,

@@ -93,6 +93,9 @@ BAD_SERVICES = {
     "hyperexp-cv2-inf": {"kind": "hyperexponential", "cv2": math.inf},
     "hyperexp-cv2-nan": {"kind": "hyperexponential", "cv2": math.nan},
     "weibull-gamma-overflow": {"kind": "weibull", "shape": 0.005},
+    # Gamma is finite, but a draw can round to a 0.0 service time
+    "weibull-shape-0.006": {"kind": "weibull", "shape": 0.006},
+    "weibull-shape-0.02": {"kind": "weibull", "shape": 0.02},
 }
 
 
@@ -132,18 +135,27 @@ class TestExitCodes:
           "horizon": math.inf, "seed": 1}, "horizon"),
         ({"kind": "simulate", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 2.0, "seed": 1, "service": [1]}, "service"),
+        # RngStream keys take a seed below 2**64; it was masked to 64 bits,
+        # so 2**64 + 5 ran the streams of seed 5
+        ({**SIM4, "seed": 2**64 + 5}, "seed"),
         *[({**SIM4, "service": v}, "service") for v in BAD_SERVICES.values()],
     ], ids=["chaos-replications", "chaos-t-zero", "tagged-t-zero",
             "stationary-n-batches", "stationary-horizon-before-warmup",
             "rates-check-load-rounds-to-1",
             "simulate-horizon-inf", "simulate-service-not-object",
-            *BAD_SERVICES])
+            "seed-past-2**64", *BAD_SERVICES])
     def test_driver_refusal_is_2(self, tmp_path, capsys, doc, field):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
         assert main([doc["kind"], "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_weibull_shape_above_cutoff_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {**SIM4, "service": {"kind": "weibull",
+                                                          "shape": 0.1}})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
@@ -263,6 +275,21 @@ class TestStationaryOutput:
             assert float(r["p_star"]) == float(asymptotic_tail(2, 0.5, k))
 
 
+    def test_p_star_past_float_exponent_range(self, tmp_path):
+        # at k = 1100 the exponent 2**1100 - 1 no longer converts to a float
+        cfg = write_config(tmp_path, {"kind": "stationary", "N": [2],
+                                      "D": [2], "lambda": [0.5],
+                                      "horizon": 100.0, "seed": 1,
+                                      "k_max": 1100})
+        out = tmp_path / "s"
+        assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "stationary.csv") as fh:
+            p_star = [float(r["p_star"]) for r in csv.DictReader(fh)]
+        assert len(p_star) == 1101
+        assert p_star[10] > 0.0
+        assert p_star[11:] == [0.0] * 1090
+
+
 class TestManifest:
     def test_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_BOUNDS)
@@ -358,8 +385,8 @@ class TestPinnedDigests:
     """sha256 of CSVs at fixed configs: a change that reorders the RNG stream
     or alters a rate by one ulp shows here, not only in a self-consistency
     check within one checkout.  The first clan case has every N below 64;
-    the second sets bits past server 63, where a clan mask outgrows one
-    machine word.  The event-engine cases cover
+    the second has N = 100 and 200, so clans reach servers past 63.  The
+    event-engine cases cover
     every discipline, a non-exponential service law, a loaded initial
     state, the permutation path of candidate sampling (2D >= N), draw
     buffers crossing a chunk, the cavity's thinning and the coupled pair."""
@@ -381,58 +408,58 @@ class TestPinnedDigests:
          {"kind": "clan", "N": [10, 50], "D": [2, 3], "lambda": [0.5],
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7},
          {"clan.csv":
-          "72af74cd7c3205b4369f73846a0e00ebb3fc243c6519eb249d8532b900336cb5"}),
+          "65100e4df430bc8206efeb70e7122faadac76086b66c8af2d303f201f7bf38d5"}),
         ("clan-past-bit-63",
          {"kind": "clan", "N": [100, 200], "D": [2, 3], "lambda": [0.5],
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 8},
          {"clan.csv":
-          "8947f368e306ec92c63a3685c3bfbf1718cc13e0f1d8862b5404051594d7900e"}),
+          "10857bfd7127accab13f8959b7edf2f6a231d669fd187bb9798be31afa94a7ba"}),
         ("simulate-ps-hyperexp",
          {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.9],
           "horizon": 250.0, "replications": 2, "seed": 21,
           "service": {"kind": "hyperexponential", "cv2": 4},
           "discipline": "PS", "record_events": True},
          {"trajectory.csv":
-          "2ec221aaa69d6b1b66bd010ada3cec09eead1fc67e73eb1265239855884973ea",
+          "267d1e3f9d92bd3acbfb898b1f354f9e4f7b8e95f8443e918ec9214b68e3864a",
           "events.csv":
-          "0059a9692b8ab40375c52128d6f2d7c8cd863e95f7bf43790b565d463b88d899"}),
+          "c039f46ede6a9c2320f0a69d668bbd9987ffccbe820a3824615b73f11e3ec8f1"}),
         ("simulate-lifo-erlang-geometric",
          {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.8],
           "horizon": 300.0, "replications": 2, "seed": 22,
           "service": {"kind": "erlang", "shape": 4},
           "discipline": "LIFO_PR", "init": "geometric"},
          {"trajectory.csv":
-          "01405cd5e78ed89d084e4d1fde8f175860c7d30175d842314492851ffa4dab82"}),
+          "e55477f280ef056d587b124485e311957e9b305689a00f18cd3bab2b7b3d99fc"}),
         ("simulate-permutation",
          {"kind": "simulate", "N": [3], "D": [2], "lambda": [0.9],
           "horizon": 2000.0, "seed": 23, "record_events": True},
          {"trajectory.csv":
-          "e0c37ad7dec2d55781416eff49fb3a89fc0c9d4b6704cd0924dd37c1cb72dc0e",
+          "365cbfdc3dffefd02a93cf6a037a67bd3080deacf5a81dbae44321628edb60ae",
           "events.csv":
-          "e21c36d1fffd349e2e711eba926c39b88d0a9f6d60e6348426d27bf29cfc03bd"}),
+          "5f80ce218544da8affb0a7a6de0fec8539ef1bf38697697f019039bf4eb1cfa8"}),
         ("stationary-ps",
          {"kind": "stationary", "N": [50], "D": [2], "lambda": [0.9],
           "horizon": 100.0, "warmup": 10.0, "k_max": 6, "seed": 24,
           "service": {"kind": "hyperexponential", "cv2": 4},
           "discipline": "PS"},
          {"stationary.csv":
-          "825f6f1b748e983e4ae850f9c545156227f0b80985fd473827d824131c0c5935"}),
+          "4ce37f9160b4073ddac1c3d8412a14734658af5e88cbc28c91b10e9736833dcf"}),
         ("chaos-ps",
          {"kind": "chaos", "N": [20], "D": [2], "lambda": [0.5], "t": [1.0],
           "k": [0, 1, 2], "l": [0, 1], "replications": 50, "seed": 25,
           "discipline": "PS"},
          {"chaos.csv":
-          "e132a608dc7427483d94bc391def1027cde76c7d17b3a4e46039423ed19b0747"}),
+          "4a052c197e385828b5754a3d88baffd7aac3118f785894e9e90ba7d8ec0a4155"}),
         ("tagged-ps",
          {"kind": "tagged", "N": [20], "D": [2], "lambda": [0.5], "t": [2.0],
           "replications": 50, "seed": 26, "discipline": "PS"},
          {"tagged.csv":
-          "8ce904bf45f763da29e9d5dd2816ecbed74cec5fa90b0d9519dc240b45cc8905"}),
+          "2afd803e6471c2a7929a6d283eef96a3d4c478426f2e701e0fd5ee139319316e"}),
         ("coupled-ps",
          {"kind": "coupled", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 4.0, "replications": 20, "seed": 27, "discipline": "PS"},
          {"coupled.csv":
-          "e0d2ef7e1ecb0d48624c166d5ff87d24f5a43e589cd3057c132fd4edc8db88df"}),
+          "74b52cdfc03797d98bd1648e45f367c6fecd7cb097268da4e63e441adf3c5b85"}),
     ]
 
     @pytest.mark.parametrize("doc,digests", [c[1:] for c in CASES],

@@ -176,6 +176,27 @@ class TestRngStream:
         assert (first == again).all()
 
 
+    @pytest.mark.parametrize("a,b", [
+        # crc32 of both labels is 0x4ddb0c25
+        (RngStream(1).child("plumless"), RngStream(1).child("buckeroo")),
+        (RngStream(1).child("a", 0), RngStream(1).child("a", 2**32)),
+    ], ids=["crc32-collision", "index-past-32-bits"])
+    def test_paths_that_used_to_alias(self, a, b):
+        assert a.generator().random() != b.generator().random()
+
+    # RngStream(2**64 + 5) drew the numbers of RngStream(5)
+    @pytest.mark.parametrize("stream", [
+        RngStream(2**64 + 5), RngStream(-1),
+        RngStream(5).child("a", 2**64), RngStream(5).child("a", -1),
+    ], ids=["seed-2**64+5", "seed-negative", "index-2**64", "index-negative"])
+    def test_keys_outside_64_bits_rejected(self, stream):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            stream.generator()
+
+    def test_largest_keys_accepted(self):
+        RngStream(2**64 - 1).child("a", 2**64 - 1).generator()
+
+
 class TestDiscipline:
     def test_known_kinds(self):
         assert Discipline("PS") == PS

@@ -130,37 +130,37 @@ def _cavity_stationary():
 CASES = {
     "run-ps-erlang-geometric":
         (_run_ps_erlang,
-         "4b54e995523e5066ea66fa44ba04a55cad75cd469828f95b5d22c01476711d21"),
+         "b5c66535d2c0a2a5f5ea9ce01670c2239270a227189aeb50b4e881077264fd99"),
     "run-fifo-det-all-at-2":
         (_run_fifo_det,
-         "edcdf56f345cffbd0bdf98f387b0b0940bf601699235f87c3a5f8ff23f166500"),
+         "430c6820a10cd57a79797362cd65d4e30318a66b4a442a0f3568cd36993c842a"),
     "run-lifo-hyperexp-permutation":
         (_run_lifo_permutation,
-         "1745352532033e725d8be5fbf0b794b107c20f24a18c2219923032edcbe86ea9"),
+         "c867fae4a49bc404d5f36fc0febacd252c6a6bd648638c2c53f359be3b49a7aa"),
     "run-d2-ps-hyperexp-geometric":
         (_run_d2_ps_hyperexp,
-         "027ca578f2288aebf5656e55638fcb7a84267aade37e9b7e80de88ed723c77af"),
+         "43095ff4338e1ec109d25442146003d4a8cfcc8daab8850b697956f33140317b"),
     "run-d2-lifo-erlang-all-at-2":
         (_run_d2_lifo_erlang,
-         "4638f556a6eb46d1e995a2b2da1b531b3a3251413f829ed0ffd0c7ddcb06bbcb"),
+         "9b46eefbc0d02b7e788bf271d8cf86284959998c487c96b5cc9938e81e08f0ff"),
     "run-d2-fifo-det-all-at-2":
         (_run_d2_fifo_det,
-         "db11e2bbb241138139cf2ecc7001565d44c4149593de745fb44761eff7355151"),
+         "9338e9649cdbb60b18b48d6e3fa27299f05be60db07d60d0882a54b3c866ffaa"),
     "run-d2-n4-permutation":
         (_run_d2_permutation,
-         "b1c233549f39c7d9007b016559e29e625325bcf99acf457ba373b838c93f3c89"),
+         "cf6d9a2c252832f3648ba21c77564dc2b88bc5d93dfe9c48f634b39024b39f8c"),
     "coupled-ps-erlang-geometric":
         (_coupled_erlang_geometric,
-         "ee9babcd3ff96018d51a76cbba93dc5f9283bdd2f74c9e3329530e2e479e34bf"),
+         "0231d0e0622d5a3f9d0a103cece50a82eba732306ff8db2a2adcd445af8d36e5"),
     "coupled-fifo-det-all-at-2":
         (_coupled_det_all_at_2,
-         "0d396c9e368936f90b9192a082c0ee568eff8452d5291fff0a8c266b096a6a95"),
+         "d24e681209059a5ed4ae2dfff72db648c9a169b1bea0b9fd475e82605ef20772"),
     "coupled-lifo-d1-yellow-blue":
         (_coupled_lifo_d1,
-         "c10e48d8058ae550f101b28b037e732927abdca317004f4c307f30c82d1dc5af"),
+         "8dc4c53d730e0994fd33c919746ac9b0dac46330c93b43cc764542016ba8abb8"),
     "cavity-stationary":
         (_cavity_stationary,
-         "ac0ceef30661e39d743bf60ace64a74b1675e2e90ddf1f0df509e94d3e731144"),
+         "631080daaaa2b583536f93f8793d410c91634fa98b10d57b4d599271a2c03312"),
 }
 
 
