@@ -123,8 +123,8 @@ class TestRunCoupled:
     def test_shared_tie_break_keeps_systems_close(self, n):
         # both routes of a shared arrival break a tie by one uniform, so from
         # an empty start few servers differ at t = 1 (about 1.5, the extra
-        # server included); one tie-break per route left about 12 differing
-        # at N = 50 and 49 at N = 200
+        # server included); one tie-break per route left about 13 differing
+        # at N = 50 and 48 at N = 200
         reps = 300
         root = RngStream(40)
         differ = 0

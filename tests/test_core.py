@@ -175,7 +175,6 @@ class TestRngStream:
         again = root.child("rep", 7).generator().random(4)
         assert (first == again).all()
 
-
     @pytest.mark.parametrize("a,b", [
         # crc32 of both labels is 0x4ddb0c25
         (RngStream(1).child("plumless"), RngStream(1).child("buckeroo")),
