@@ -418,19 +418,17 @@ def _run_simulate(spec, out_dir, workers):
             tasks.append((n, d, lam, spec, base.child(f"sim-{n}-{d}-{lam}", r)))
             meta.append((n, d, lam, r))
     results = _parallel_map(_simulate_one, tasks, workers)
-    traj_rows = []
-    event_rows = []
-    for (n, d, lam, r), (traj, log) in zip(meta, results):
-        lam_s = _fmt(lam)
-        for tv, tc in zip(traj.times, traj.snapshots):
-            t_s = _fmt(float(tv))
-            for k, pik in enumerate(tc.pi):
-                traj_rows.append([r, n, d, lam_s, t_s, k, pik])
-        if spec.record_events:
-            # event times are Python floats, so repr is what _fmt writes
-            for ev in log.arrivals:
-                event_rows.append([r, repr(ev.time), "A", ev.routed_to,
-                                   "|".join(map(str, ev.zeta))])
+    # generators: each row is written as it is made, so no run holds all
+    # of its rows at once
+    traj_rows = ([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik]
+                 for (n, d, lam, r), (traj, _) in zip(meta, results)
+                 for tv, tc in zip(traj.times, traj.snapshots)
+                 for k, pik in enumerate(tc.pi))
+    # event times are Python floats, so repr is what _fmt writes
+    event_rows = ([r, repr(ev.time), "A", ev.routed_to,
+                   "|".join(map(str, ev.zeta))]
+                  for (*_, r), (_, log) in zip(meta, results)
+                  for ev in log.arrivals)
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["rep", "N", "D", "lambda", "t", "k", "pi_k"], traj_rows)
     if spec.record_events:

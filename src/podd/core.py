@@ -77,7 +77,7 @@ def as_generator(rng) -> np.random.Generator:
 
 class Configuration:
     """Initial state of the N-server system: for each server, the residual
-    work of its jobs in arrival order."""
+    work of its jobs in arrival order, each positive and finite."""
 
     __slots__ = ("queues", "N")
 
@@ -85,6 +85,8 @@ class Configuration:
         queues = list(queues)
         if not queues:
             raise ValueError("a configuration needs at least one server")
+        if not all(0 < r < math.inf for q in queues for r in q):
+            raise ValueError("job residual must be positive and finite")
         self.queues = queues
         self.N = len(queues)
 
@@ -95,22 +97,17 @@ class Configuration:
     @classmethod
     def from_lengths(cls, lengths, dist=None, rng=None) -> "Configuration":
         """Build a configuration with the given queue lengths.  Initial jobs
-        need residual work; it is drawn from `dist` (required when any queue
-        is non-empty), server by server."""
+        need residual work: one `dist.sample` call draws all of it (`dist` is
+        required when any queue is non-empty), split server by server."""
         lengths = list(lengths)
+        if any(ln < 0 for ln in lengths):
+            raise ValueError("queue lengths must be non-negative")
         total = sum(lengths)
         if total > 0 and (dist is None or rng is None):
             raise ValueError("non-empty initial queues need a service distribution and rng")
-        gen = as_generator(rng) if rng is not None else None
-        queues = []
-        for ln in lengths:
-            if ln < 0:
-                raise ValueError("queue lengths must be non-negative")
-            queue = [float(dist.sample(gen)) for _ in range(ln)]
-            if any(r <= 0 for r in queue):
-                raise ValueError("job residual must be positive")
-            queues.append(queue)
-        return cls(queues)
+        work = dist.sample(as_generator(rng), total).tolist() if total else []
+        ends = np.cumsum(lengths).tolist()
+        return cls([work[end - ln:end] for ln, end in zip(lengths, ends)])
 
     def lengths(self):
         return [len(q) for q in self.queues]
@@ -144,15 +141,27 @@ def tail_counts_from_lengths(lengths, k_max: int) -> TailCounts:
 # Service-time distributions (all normalized to mean exactly 1)
 # ---------------------------------------------------------------------------
 
+# kind -> its config keys, in constructor order.  The hyperexponential also
+# takes the form {"cv2": ...} alone (`hyperexponential_cv2`).
+SERVICE_KEYS = {
+    "exponential": (),
+    "deterministic": (),
+    "erlang": ("shape",),
+    "hyperexponential": ("weights", "rates"),
+    "lognormal": ("sigma",),
+    "weibull": ("shape",),
+}
+
+
 @dataclass(frozen=True)
 class ServiceDistribution:
     """A mean-1 service-time distribution.
 
-    Construction rescales the natural parameterization so the analytic mean
-    is exactly 1, and rejects parameters that are not finite.  A
-    hyperexponential keeps the weights and rates it was given in `args`:
-    `to_json` writes those back, so `from_json` rebuilds the same params,
-    where rescaling the rescaled params could move them by an ulp.
+    Construction rescales the natural parameterization into `params` so the
+    analytic mean is exactly 1, and rejects parameters that are not finite.
+    Each constructor keeps its arguments in `args`, which `to_json` writes
+    back under the kind's `SERVICE_KEYS`; so `from_json` rebuilds the same
+    params, where rescaling the rescaled params could move them by an ulp.
     """
 
     kind: str
@@ -173,7 +182,7 @@ class ServiceDistribution:
     def erlang(cls, shape: int):
         if isinstance(shape, bool) or not isinstance(shape, int) or shape < 1:
             raise ValueError("erlang shape must be a positive integer")
-        return cls("erlang", (shape,))
+        return cls("erlang", (shape,), (shape,))
 
     @classmethod
     def hyperexponential(cls, weights, rates):
@@ -205,7 +214,7 @@ class ServiceDistribution:
     def lognormal(cls, sigma: float):
         if not 0 < sigma < math.inf:
             raise ValueError("lognormal sigma must be positive and finite")
-        return cls("lognormal", (float(sigma),))
+        return cls("lognormal", (float(sigma),), (float(sigma),))
 
     @classmethod
     def weibull(cls, shape: float):
@@ -219,7 +228,7 @@ class ServiceDistribution:
         if low < math.log(5e-324):
             raise ValueError("weibull shape too small: a service time can "
                              "round to 0")
-        return cls("weibull", (float(shape),))
+        return cls("weibull", (float(shape),), (float(shape),))
 
     # -- analytics ----------------------------------------------------------
 
@@ -246,24 +255,17 @@ class ServiceDistribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, gen: np.random.Generator, size=None):
+    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """`size` service times as an array, from one vectorized draw."""
         if self.kind == "exponential":
             return gen.exponential(1.0, size)
         if self.kind == "deterministic":
-            return 1.0 if size is None else np.ones(size)
+            return np.ones(size)
         if self.kind == "erlang":
             (shape,) = self.params
             return gen.gamma(shape, 1.0 / shape, size)
         if self.kind == "hyperexponential":
             weights, rates = self.params
-            if size is None:
-                u = gen.random()
-                acc = 0.0
-                for w, r in zip(weights, rates):
-                    acc += w
-                    if u < acc:
-                        return gen.exponential(1.0 / r)
-                return gen.exponential(1.0 / rates[-1])
             comp = gen.choice(len(rates), size=size, p=weights)
             return gen.exponential(1.0, size) / np.asarray(rates)[comp]
         if self.kind == "lognormal":
@@ -271,6 +273,7 @@ class ServiceDistribution:
             return gen.lognormal(-0.5 * sigma * sigma, sigma, size)
         if self.kind == "weibull":
             (shape,) = self.params
+            # times 1/Gamma: dividing by Gamma can move a draw by an ulp
             scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
             return scale * gen.weibull(shape, size)
         raise ValueError(f"unknown distribution kind {self.kind!r}")
@@ -278,36 +281,24 @@ class ServiceDistribution:
     # -- config-file form ---------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "erlang":
-            return {"kind": "erlang", "shape": self.params[0]}
-        if self.kind == "hyperexponential":
-            weights, rates = self.args or self.params
-            return {"kind": "hyperexponential",
-                    "weights": list(weights), "rates": list(rates)}
-        if self.kind == "lognormal":
-            return {"kind": "lognormal", "sigma": self.params[0]}
-        if self.kind == "weibull":
-            return {"kind": "weibull", "shape": self.params[0]}
-        return {"kind": self.kind}
+        doc = {"kind": self.kind}
+        for key, arg in zip(SERVICE_KEYS[self.kind], self.args):
+            doc[key] = list(arg) if isinstance(arg, tuple) else arg
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "ServiceDistribution":
         kind = doc.get("kind")
-        if kind == "exponential":
-            return cls.exponential()
-        if kind == "deterministic":
-            return cls.deterministic()
-        if kind == "erlang":
-            return cls.erlang(doc["shape"])
-        if kind == "hyperexponential":
-            if "cv2" in doc:
-                return cls.hyperexponential_cv2(doc["cv2"])
-            return cls.hyperexponential(doc["weights"], doc["rates"])
-        if kind == "lognormal":
-            return cls.lognormal(doc["sigma"])
-        if kind == "weibull":
-            return cls.weibull(doc["shape"])
-        raise ValueError(f"unknown service distribution kind {kind!r}")
+        if kind not in SERVICE_KEYS:
+            raise ValueError(f"unknown service distribution kind {kind!r}")
+        keys, build = SERVICE_KEYS[kind], getattr(cls, kind)
+        if kind == "hyperexponential" and "cv2" in doc:
+            keys, build = ("cv2",), cls.hyperexponential_cv2
+        for key in doc:
+            if key != "kind" and key not in keys:
+                raise ValueError(f"unexpected key {key!r}; {kind} takes "
+                                 f"{list(keys)}")
+        return build(*(doc[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------

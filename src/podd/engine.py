@@ -266,7 +266,7 @@ def _buffers(gen, dist):
     the order e, u, s here fixes the Generator's stream."""
     return (_Buffer(lambda: gen.standard_exponential(_CHUNK)).next,
             _Buffer(lambda: gen.random(_CHUNK)).next,
-            _Buffer(lambda: np.atleast_1d(dist.sample(gen, _CHUNK))).next)
+            _Buffer(lambda: dist.sample(gen, _CHUNK)).next)
 
 
 def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,

@@ -96,6 +96,11 @@ BAD_SERVICES = {
     # Gamma is finite, but a draw can round to a 0.0 service time
     "weibull-shape-0.006": {"kind": "weibull", "shape": 0.006},
     "weibull-shape-0.02": {"kind": "weibull", "shape": 0.02},
+    # keys the kind does not take were dropped: these ran the rate-1
+    # exponential and the cv2 = 4 law
+    "exponential-rate": {"kind": "exponential", "rate": 2.0},
+    "hyperexp-cv2-and-phases": {"kind": "hyperexponential", "cv2": 4,
+                                "weights": [1], "rates": [5]},
 }
 
 

@@ -52,8 +52,8 @@ class TestTailCounts:
 class TestJobs:
     def test_residual_positive(self):
         class Zero:
-            def sample(self, gen):
-                return 0.0
+            def sample(self, gen, size):
+                return np.zeros(size)
 
         with pytest.raises(ValueError, match="residual must be positive"):
             Configuration.from_lengths([0, 1], Zero(), RngStream(0))
@@ -62,13 +62,22 @@ class TestJobs:
         dist = ServiceDistribution.exponential()
         cfg = Configuration.from_lengths([2, 0, 1], dist, RngStream(3))
         gen = RngStream(3).generator()
-        want = [float(dist.sample(gen)) for _ in range(3)]
+        want = [float(dist.sample(gen, 1)[0]) for _ in range(3)]
         assert cfg.queues == [want[:2], [], want[2:]]
         assert cfg.lengths() == [2, 0, 1]
 
     def test_config_needs_dist_for_jobs(self):
         with pytest.raises(ValueError):
             Configuration.from_lengths([1, 0])
+
+    # the constructor took these, and the run started with the job gone
+    # (its due time clamped to 0) or, for 0.0, still queued at t = 0
+    @pytest.mark.parametrize("queues", [[[math.nan], []], [[-1.0], []],
+                                        [[0.0], [2.0]], [[1.0], [math.inf]]],
+                             ids=["nan", "negative", "zero", "inf"])
+    def test_constructor_rejects_bad_residual(self, queues):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Configuration(queues)
 
 
 DISTS = [
@@ -93,7 +102,20 @@ class TestServiceDistributions:
 
     def test_deterministic_is_exact(self):
         d = ServiceDistribution.deterministic()
-        assert d.sample(RngStream(1).generator()) == 1.0
+        assert d.sample(RngStream(1).generator(), 1)[0] == 1.0
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
+    def test_sample_is_sized_array(self, dist):
+        x = dist.sample(RngStream(15).generator(), 7)
+        assert isinstance(x, np.ndarray) and x.shape == (7,)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
+    def test_initial_work_is_one_draw(self, dist):
+        # one sized draw split server by server, so the initial work of a
+        # law has the same stream as its service times in a run
+        cfg = Configuration.from_lengths([3, 0, 2, 1], dist, RngStream(16))
+        work = dist.sample(RngStream(16).generator(), 6).tolist()
+        assert cfg.queues == [work[:3], [], work[3:5], work[5:]]
 
     def test_exponential_sample_mean(self):
         gen = RngStream(11).child("mean").generator()
@@ -116,7 +138,7 @@ class TestServiceDistributions:
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
     def test_sample_mean_matches(self, dist):
         gen = RngStream(14).child(dist.kind).generator()
-        x = np.atleast_1d(dist.sample(gen, 200_000))
+        x = dist.sample(gen, 200_000)
         tol = 0.01 + 0.02 * math.sqrt(max(dist.variance(), 1.0))
         assert abs(float(np.mean(x)) - 1.0) < tol
 
@@ -134,6 +156,37 @@ class TestServiceDistributions:
         again = ServiceDistribution.from_json(doc)
         assert again.params == dist.params
         assert again.to_json() == doc
+
+    @pytest.mark.parametrize("doc,want", [
+        ({"kind": "exponential"}, {"kind": "exponential"}),
+        ({"kind": "deterministic"}, {"kind": "deterministic"}),
+        ({"kind": "erlang", "shape": 4}, {"kind": "erlang", "shape": 4}),
+        ({"kind": "hyperexponential", "cv2": 4},
+         {"kind": "hyperexponential",
+          "weights": [0.8872983346207417, 0.1127016653792583],
+          "rates": [1.7745966692414834, 0.2254033307585166]}),
+        ({"kind": "hyperexponential", "weights": [1, 3], "rates": [2, 0.5]},
+         {"kind": "hyperexponential", "weights": [1.0, 3.0],
+          "rates": [2.0, 0.5]}),
+        ({"kind": "lognormal", "sigma": 1}, {"kind": "lognormal", "sigma": 1.0}),
+        ({"kind": "weibull", "shape": 2}, {"kind": "weibull", "shape": 2.0}),
+    ], ids=["exponential", "deterministic", "erlang", "hyperexp-cv2",
+            "hyperexp-phases", "lognormal", "weibull"])
+    def test_config_form(self, doc, want):
+        # the values and key order a manifest's spec has always held
+        got = ServiceDistribution.from_json(doc).to_json()
+        assert got == want and list(got) == list(want)
+        assert all(type(got[k]) is type(want[k]) for k in want)
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"kind": "erlang", "shape": 4, "sigma": 1.0}, "sigma"),
+        ({"kind": "exponential", "rate": 2.0}, "rate"),
+        ({"kind": "hyperexponential", "cv2": 4, "weights": [1],
+          "rates": [5]}, "weights"),
+    ], ids=["erlang-sigma", "exponential-rate", "hyperexp-cv2-and-phases"])
+    def test_unexpected_key_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=f"unexpected key '{key}'"):
+            ServiceDistribution.from_json(doc)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -139,7 +139,7 @@ CASES = {
          "c867fae4a49bc404d5f36fc0febacd252c6a6bd648638c2c53f359be3b49a7aa"),
     "run-d2-ps-hyperexp-geometric":
         (_run_d2_ps_hyperexp,
-         "43095ff4338e1ec109d25442146003d4a8cfcc8daab8850b697956f33140317b"),
+         "328956800c7733b36d67261d1c2577b590d75e6ed19e0b90d635c98c02a9accb"),
     "run-d2-lifo-erlang-all-at-2":
         (_run_d2_lifo_erlang,
          "9b46eefbc0d02b7e788bf271d8cf86284959998c487c96b5cc9938e81e08f0ff"),
