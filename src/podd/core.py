@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class Configuration:
         queues = list(queues)
         if not queues:
             raise ValueError("a configuration needs at least one server")
-        if not all(0 < r < math.inf for q in queues for r in q):
+        if not all(0 < r < math.inf for r in chain.from_iterable(queues)):
             raise ValueError("job residual must be positive and finite")
         self.queues = queues
         self.N = len(queues)
