@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Configuration, Discipline, ServiceDistribution, as_generator
-from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers, _drive,
-                     _route, _sample_zeta, _System)
+from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers,
+                     _candidates, _drive, _sample_zeta, _System)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
 
 
@@ -125,9 +125,9 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     total = sum(rates[s] for s in active)
     thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
 
-    sysm = _System(2 * N + 1, disc)
-    sysm.load(Configuration(init.queues * 2 + [[]]))
+    sysm = _System(2 * N + 1, disc, init.queues * 2 + [[]])
     enext, unext, snext = _buffers(gen, dist)
+    draw, route = _candidates(gen, unext, N, D)
     arrive, lengths = sysm.arrive, sysm.lengths
 
     counts = {"yellow": 0, "red": 0, "blue": 0}
@@ -140,11 +140,11 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         stream = active[bisect_left(thresholds, u)] if len(active) > 1 else active[0]
         counts[stream] += 1
         if stream == "yellow":
-            zeta = _sample_zeta(gen, unext, N, D)
+            zeta = draw()
             u = unext()
             tie = lambda: u   # the same tie-break in both systems
-            s_small = _route(lengths, zeta, tie)
-            s_large = _route(lengths, tuple(N + s for s in zeta), tie) - N
+            s_small = route(lengths, zeta, tie)
+            s_large = route(lengths, zeta, tie, N)
             svc = snext()
             arrive(s_small, t, svc)
             arrive(N + s_large, t, svc if s_large == s_small else snext())
@@ -154,8 +154,8 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
         elif stream == "red":
-            zeta = _sample_zeta(gen, unext, N, D)
-            s_small = _route(lengths, zeta, unext)
+            zeta = draw()
+            s_small = route(lengths, zeta, unext)
             arrive(s_small, t, snext())
             hits[0] += s_small == 0
             if record_events:
@@ -163,7 +163,7 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         else:  # blue: the extra server plus D-1 of the first N
             rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
             zeta = rest + (N,)
-            s_large = _route(lengths, tuple(N + s for s in zeta), unext) - N
+            s_large = route(lengths, zeta, unext, N)
             arrive(N + s_large, t, snext())
             hits[1] += s_large == 0
             if record_events:

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,7 +162,7 @@ def _service(v, kind):
         raise ValueError("expected an object")
     try:
         return ServiceDistribution.from_json(v)
-    except (KeyError, TypeError) as e:
+    except TypeError as e:
         raise ValueError(e) from None
 
 
@@ -322,20 +321,40 @@ def _resolve_workers(args) -> int:
     return 1
 
 
-def _parallel_map(fn, tasks, workers):
-    """Ordered map across a worker pool; order (and so output bytes) does not
-    depend on the pool size because every task owns its own substream."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+class _Pool:
+    """Ordered map over one worker pool per subcommand run.  The pool is
+    opened by the first map that has more than one task and more than one
+    worker, and shut on leaving the `with` block.  Order (and so output
+    bytes) does not depend on the pool size because every task owns its own
+    substream."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def map(self, fn, tasks):
+        if self.workers <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        if self._executor is None:
+            # imported here: a run at one worker never pays for the import
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._executor.map(
+            fn, tasks, chunksize=max(1, len(tasks) // (4 * self.workers))))
 
 
 # ---------------------------------------------------------------------------
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def _run_bounds(spec, out_dir, workers):
+def _run_bounds(spec, out_dir, pool):
     rows = []
     for n, d, lam, t in itertools.product(spec.N, spec.D, spec.lam, spec.t):
         if n <= d:
@@ -356,7 +375,7 @@ def _run_bounds(spec, out_dir, workers):
     return 0
 
 
-def _run_rates_check(spec, out_dir, workers):
+def _run_rates_check(spec, out_dir, pool):
     # Every rate is lam * P / Q with Q > 0 and lam > 0, so two rates at one
     # load compare exactly as P1 * Q2 against P2 * Q1.
     rows = []
@@ -407,7 +426,7 @@ def _run_rates_check(spec, out_dir, workers):
     return 1 if failures else 0
 
 
-def _run_simulate(spec, out_dir, workers):
+def _run_simulate(spec, out_dir, pool):
     tasks = []
     meta = []
     base = RngStream(spec.seed)
@@ -417,7 +436,7 @@ def _run_simulate(spec, out_dir, workers):
         for r in range(spec.replications):
             tasks.append((n, d, lam, spec, base.child(f"sim-{n}-{d}-{lam}", r)))
             meta.append((n, d, lam, r))
-    results = _parallel_map(_simulate_one, tasks, workers)
+    results = pool.map(_simulate_one, tasks)
     # generators: each row is written as it is made, so no run holds all
     # of its rows at once
     traj_rows = ([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik]
@@ -454,7 +473,7 @@ def _chaos_rep(task):
     return traj
 
 
-def _run_chaos(spec, out_dir, workers):
+def _run_chaos(spec, out_dir, pool):
     rows = []
     failures = 0
     base = RngStream(spec.seed)
@@ -463,7 +482,7 @@ def _run_chaos(spec, out_dir, workers):
             continue
         tasks = [(n, d, lam, t, spec, base.child(f"chaos-{n}-{d}-{lam}-{t}", r))
                  for r in range(spec.replications)]
-        trajs = _parallel_map(_chaos_rep, tasks, workers)
+        trajs = pool.map(_chaos_rep, tasks)
         bound = chaos_bound(BoundInputs(n, d, lam, t))
         for k, l in itertools.product(spec.k, spec.l):
             row = cov_mk(trajs, k, l, t, level=0.95)
@@ -479,7 +498,7 @@ def _run_chaos(spec, out_dir, workers):
     return 1 if failures else 0
 
 
-def _run_clan(spec, out_dir, workers):
+def _run_clan(spec, out_dir, pool):
     rows = []
     failures = 0
     base = RngStream(spec.seed)
@@ -522,20 +541,20 @@ def _cavity_rep(task):
     return int(traj.tagged[-1])
 
 
-def _run_tagged(spec, out_dir, workers):
+def _run_tagged(spec, out_dir, pool):
     rows = []
     base = RngStream(spec.seed)
     for d, lam, t in itertools.product(spec.D, spec.lam, spec.t):
         ctasks = [(d, lam, t, spec, base.child(f"cavity-{d}-{lam}-{t}", r))
                   for r in range(spec.replications)]
-        cavity_levels = _parallel_map(_cavity_rep, ctasks, workers)
+        cavity_levels = pool.map(_cavity_rep, ctasks)
         cav = level_distribution(cavity_levels, spec.k_max)
         for n in spec.N:
             if d > n:
                 continue
             tasks = [(n, d, lam, t, spec, base.child(f"tagged-{n}-{d}-{lam}-{t}", r))
                      for r in range(spec.replications)]
-            levels = _parallel_map(_tagged_rep, tasks, workers)
+            levels = pool.map(_tagged_rep, tasks)
             emp = level_distribution(levels, spec.k_max)
             tv = tv_distance(emp, cav)
             # binomial-style noise scale on a TV estimate
@@ -546,7 +565,7 @@ def _run_tagged(spec, out_dir, workers):
     return 0
 
 
-def _run_stationary(spec, out_dir, workers):
+def _run_stationary(spec, out_dir, pool):
     rows = []
     base = RngStream(spec.seed)
     for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
@@ -576,7 +595,7 @@ def _coupled_rep(task):
             pair.tagged_hits[0], pair.tagged_hits[1])
 
 
-def _run_coupled(spec, out_dir, workers):
+def _run_coupled(spec, out_dir, pool):
     rows = []
     base = RngStream(spec.seed)
     for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
@@ -584,7 +603,7 @@ def _run_coupled(spec, out_dir, workers):
             continue
         tasks = [(n, d, lam, spec, base.child(f"coupled-{n}-{d}-{lam}", r))
                  for r in range(spec.replications)]
-        results = _parallel_map(_coupled_rep, tasks, workers)
+        results = pool.map(_coupled_rep, tasks)
         for r, (y, rd, bl, h_s, h_l) in enumerate(results):
             rows.append([r, n, d, _fmt(lam), _fmt(spec.horizon),
                          y, rd, bl, h_s, h_l])
@@ -610,7 +629,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> int:
     """Execute one experiment; writes CSVs plus manifest.json into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     start = time.monotonic()
-    code = _DRIVERS[spec.kind](spec, out_dir, workers)
+    with _Pool(workers) as pool:
+        code = _DRIVERS[spec.kind](spec, out_dir, pool)
     manifest = {
         "spec": spec.to_json(),
         "version": __version__,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -86,7 +87,9 @@ class Configuration:
         queues = list(queues)
         if not queues:
             raise ValueError("a configuration needs at least one server")
-        if not all(0 < r < math.inf for r in chain.from_iterable(queues)):
+        # any(): an empty configuration skips the walk over its queues
+        if any(queues) and not all(0 < r < math.inf
+                                   for r in chain.from_iterable(queues)):
             raise ValueError("job residual must be positive and finite")
         self.queues = queues
         self.N = len(queues)
@@ -133,9 +136,14 @@ class TailCounts:
 
 
 def tail_counts_from_lengths(lengths, k_max: int) -> TailCounts:
-    counts = np.bincount(lengths, minlength=k_max + 1)
-    tail = np.flip(np.cumsum(np.flip(counts)))
-    return TailCounts(tuple(int(v) for v in tail[: k_max + 1]))
+    counts = Counter(lengths)
+    pi = [0] * (k_max + 1)
+    above = 0    # servers with at least k jobs, summed down from the top
+    for k in range(max(max(counts, default=0), k_max), -1, -1):
+        above += counts.get(k, 0)
+        if k <= k_max:
+            pi[k] = above
+    return TailCounts(tuple(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +306,10 @@ class ServiceDistribution:
         for key in doc:
             if key != "kind" and key not in keys:
                 raise ValueError(f"unexpected key {key!r}; {kind} takes "
+                                 f"{list(keys)}")
+        for key in keys:
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}; {kind} takes "
                                  f"{list(keys)}")
         return build(*(doc[key] for key in keys))
 

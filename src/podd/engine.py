@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 
 import numpy as np
@@ -88,11 +89,13 @@ def _sample_zeta(gen, u, n, d):
     return tuple(out)
 
 
-def _route(lengths, zeta, u):
+def _route(lengths, zeta, u, off=0):
+    """The server of `zeta` whose queue, `lengths[off + s]`, is shortest; `u`
+    returns the uniform that breaks a tie, in D-set order."""
     best = None
     ties = None
     for s in zeta:
-        ln = lengths[s]
+        ln = lengths[off + s]
         if best is None or ln < best:
             best = ln
             ties = [s]
@@ -103,38 +106,60 @@ def _route(lengths, zeta, u):
     return ties[int(u() * len(ties))]
 
 
+def _route_pair(lengths, zeta, u, off=0):
+    """`_route` for a D-set of two servers."""
+    a, b = zeta
+    la, lb = lengths[off + a], lengths[off + b]
+    return a if la < lb else b if lb < la else zeta[int(u() * 2)]
+
+
+def _candidates(gen, u, n, d):
+    """A function that draws one D-set out of n servers, and the router for
+    it.  At D = 2 < n/2 both are specialised (`_route_pair`, and two draws
+    with rejection inline); they make the same draws as `_sample_zeta` and
+    `_route`, which serve every other D."""
+    if d == 2 and 2 * d < n:
+        def pair():
+            a = int(u() * n)
+            b = int(u() * n)
+            while b == a:
+                b = int(u() * n)
+            return a, b
+        return pair, _route_pair
+    return partial(_sample_zeta, gen, u, n, d), _route
+
+
 class _System:
     """Mutable queue state of one system plus its departure schedule.
 
-    `_System(n, discipline)` builds that discipline's kernel: `_Fifo`, `_Ps`
-    or `_LifoPr`.  Each server holds its jobs' residual work as a list of
-    Python floats in arrival order, advanced to time `last[s]`; `arrive`
-    rejects a residual that is not positive.  The departure heap holds
-    (time, server, version) entries, and per-server version counters drop
-    schedules invalidated by preemption or share changes.  A server's
-    versions rise with each push, so on a tie in time and server the older
-    entry goes first.
+    `_System(n, discipline, queues)` builds that discipline's kernel:
+    `_Fifo`, `_Ps` or `_LifoPr`, holding copies of `queues`' residual lists
+    (n of them; all empty when `queues` is None) at time 0.  Each server
+    holds its jobs' residual work as a list of Python floats in arrival
+    order, advanced to time `last[s]`; `arrive` rejects a residual that is
+    not positive.  The departure heap holds (time, server, version) entries,
+    and per-server version counters drop schedules invalidated by preemption
+    or share changes.  A server's versions rise with each push, so on a tie
+    in time and server the older entry goes first.
     """
 
     __slots__ = ("lengths", "jobs", "last", "ver", "heap")
 
-    def __new__(cls, n, discipline: Discipline):
+    def __new__(cls, n, discipline: Discipline, queues=None):
         return object.__new__(_KERNELS[discipline.kind])
 
-    def __init__(self, n, discipline):
-        self.lengths = [0] * n
-        self.jobs = [[] for _ in range(n)]
+    def __init__(self, n, discipline, queues=None):
         self.last = [0.0] * n
         self.ver = [0] * n
         self.heap = []
-
-    def load(self, config: Configuration):
-        """Queue copies of `config`'s residual lists on this empty system at
-        time 0."""
-        for s, q in enumerate(config.queues):
-            if q:
-                self.jobs[s] = list(q)
-                self.lengths[s] = len(q)
+        if queues is None or not any(queues):
+            self.jobs = [[] for _ in range(n)]
+            self.lengths = [0] * n
+            return
+        self.jobs = [q[:] for q in queues]
+        self.lengths = [len(q) for q in queues]
+        for s, ln in enumerate(self.lengths):
+            if ln:
                 self._schedule(s, 0.0)
 
 
@@ -148,8 +173,7 @@ class _Fifo(_System):
     def _schedule(self, s, t):
         js = self.jobs[s]
         if js:
-            due = js[0]
-            heappush(self.heap, (t + (due if due > 0.0 else 0.0), s, 0))
+            heappush(self.heap, (t + js[0], s, 0))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -161,9 +185,11 @@ class _Fifo(_System):
 
     def depart(self):
         t, s, _ = heappop(self.heap)
-        self.jobs[s].pop(0)
+        js = self.jobs[s]
+        js.pop(0)
         self.lengths[s] -= 1
-        self._schedule(s, t)
+        if js:
+            heappush(self.heap, (t + js[0], s, 0))
         return t, s
 
 
@@ -283,10 +309,9 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and positive")
-    samples = np.asarray(sorted(sample_times), dtype=float)
-    if samples.size and not np.isfinite(samples).all():
+    samples = sorted(map(float, sample_times))
+    if not all(map(math.isfinite, samples)):
         raise ValueError("sample times must be finite")
-    samples = samples.tolist()
     if samples and (samples[0] < 0.0 or samples[-1] > horizon):
         raise ValueError("sample times must lie in [0, horizon]")
 
@@ -345,9 +370,9 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         raise ValueError("initial configuration size does not match N")
 
     gen = as_generator(rng)
-    sysm = _System(N, disc)
-    sysm.load(init)
+    sysm = _System(N, disc, init.queues)
     enext, unext, snext = _buffers(gen, dist)
+    draw, route = _candidates(gen, unext, N, D)
     arrive, lengths = sysm.arrive, sysm.lengths
     arrivals = []
     departures = [] if record_departures else None
@@ -355,30 +380,15 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
 
     def on_arrival(t):
         nonlocal n_arr
-        zeta = _sample_zeta(gen, unext, N, D)
-        s = _route(lengths, zeta, unext)
+        zeta = draw()
+        s = route(lengths, zeta, unext)
         arrive(s, t, snext())
         n_arr += 1
         if record_events:
             arrivals.append(ArrivalEvent(t, zeta, s))
 
-    def on_arrival_d2(t):
-        # _sample_zeta then _route at D = 2 < N/2, inlined: the same draws
-        nonlocal n_arr
-        a = int(unext() * N)
-        b = int(unext() * N)
-        while b == a:
-            b = int(unext() * N)
-        la, lb = lengths[a], lengths[b]
-        s = a if la < lb else b if lb < la else (a, b)[int(unext() * 2)]
-        arrive(s, t, snext())
-        n_arr += 1
-        if record_events:
-            arrivals.append(ArrivalEvent(t, (a, b), s))
-
     traj, = _drive(sysm, horizon, sample_times, [(0, N)], lam * N, enext,
-                   on_arrival_d2 if D == 2 and N > 4 else on_arrival,
-                   departures)
+                   on_arrival, departures)
     log = EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log

@@ -2,9 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import podd.cli
 from podd.cli import ConfigError, main, parse_config, run_experiment
 from podd.rates import asymptotic_tail
 
@@ -154,6 +159,21 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([doc["kind"], "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    # a missing key was reported by its bare KeyError text: "service: 'shape'"
+    @pytest.mark.parametrize("service,key", [
+        ({"kind": "erlang"}, "shape"),
+        ({"kind": "hyperexponential", "weights": [1]}, "rates"),
+    ], ids=["erlang-shape", "hyperexp-rates"])
+    def test_missing_service_key_names_kind_and_key(self, tmp_path, capsys,
+                                                    service, key):
+        cfg = write_config(tmp_path, {**SIM4, "service": service})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: service: missing key '{key}'; "
+                f"{service['kind']} takes") in err
         assert not out.exists()
 
     def test_weibull_shape_above_cutoff_runs(self, tmp_path):
@@ -363,6 +383,38 @@ class TestDeterminism:
         assert main(["simulate", "--config", cfg, "--out", str(b),
                      "--workers", "3"]) == 0
         assert read_all(a) == read_all(b)
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        # the cavity map and one map per N used to open a pool each
+        import concurrent.futures
+        opened = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        cfg = write_config(tmp_path, {"kind": "tagged", "N": [10, 12],
+                                      "D": [2], "lambda": [0.5], "t": [1.0],
+                                      "replications": 30, "seed": 12})
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        assert main(["tagged", "--config", cfg, "--out", str(a),
+                     "--workers", "1"]) == 0
+        assert opened == []
+        assert main(["tagged", "--config", cfg, "--out", str(b),
+                     "--workers", "2"]) == 0
+        assert opened == [2]
+        assert read_all(a) == read_all(b)
+
+    def test_import_leaves_the_pool_out(self):
+        code = ("import sys, podd.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(podd.cli.__file__).parent.parent),
+            os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, self.SIM)

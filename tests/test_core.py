@@ -188,6 +188,15 @@ class TestServiceDistributions:
         with pytest.raises(ValueError, match=f"unexpected key '{key}'"):
             ServiceDistribution.from_json(doc)
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"kind": "erlang"}, "shape"),
+        ({"kind": "hyperexponential", "weights": [1]}, "rates"),
+    ], ids=["erlang-shape", "hyperexp-rates"])
+    def test_missing_key_rejected(self, doc, key):
+        with pytest.raises(ValueError,
+                           match=f"missing key '{key}'; {doc['kind']} takes"):
+            ServiceDistribution.from_json(doc)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             ServiceDistribution.erlang(0)

@@ -4,7 +4,8 @@ The CSV pins in `test_cli.py` see only what the subcommands write.  These
 cover what no CSV keeps: departure logs of `run` under each discipline (at
 D = 2 both by rejection sampling and by permutation), both trajectories and
 both arrival logs of the coupled pair over several sample times (including
-simultaneous departures under deterministic service), and a cavity
+simultaneous departures under deterministic service), the coupled pair's
+D = 2 path without event logs, and a cavity
 trajectory driven by the stationary tail.  Every float is hashed through
 its exact `repr`, and every array with its dtype.
 """
@@ -122,6 +123,13 @@ def _coupled_lifo_d1():
                        enable=("yellow", "blue"), record_events=True)
 
 
+def _coupled_d2_fifo_exp():
+    # D = 2 and N > 4: the pair's candidates drawn by rejection, as `run` does
+    return run_coupled(40, 2, 0.7, EXP, FIFO, Configuration.empty(40), 10.0,
+                       RngStream(52).child("pair"),
+                       sample_times=np.linspace(0.0, 10.0, 11))
+
+
 def _cavity_stationary():
     return run_cavity(2, 0.7, ERL4, PS, 30.0, RngStream(47).child("cavity"),
                       sample_times=np.linspace(0.0, 30.0, 31))
@@ -158,6 +166,9 @@ CASES = {
     "coupled-lifo-d1-yellow-blue":
         (_coupled_lifo_d1,
          "8dc4c53d730e0994fd33c919746ac9b0dac46330c93b43cc764542016ba8abb8"),
+    "coupled-d2-fifo-exp":
+        (_coupled_d2_fifo_exp,
+         "019ef2f281cacbffbcf48b74499b2f9a3de2d24925d4602ebda9af88b8361087"),
     "cavity-stationary":
         (_cavity_stationary,
          "631080daaaa2b583536f93f8793d410c91634fa98b10d57b4d599271a2c03312"),
