@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
 from .core import (Configuration, Discipline, ServiceDistribution, TailCounts,
                    as_generator, tail_counts_from_lengths)
 
-_CHUNK = 4096
-_WINDOW = 256
+_CHUNK = 256
 
 
 @dataclass(slots=True)
@@ -52,27 +52,22 @@ class Trajectory:
     final_lengths: np.ndarray | None = None
 
 
-def _windows(fill, chunk):
-    while True:
-        for i in range(0, len(chunk), _WINDOW):
-            yield from chunk[i:i + _WINDOW].tolist()
-        chunk = fill()
-
-
 class _Buffer:
     """Chunked scalar draws from a Generator, handed out as Python floats by
     `next()`.
 
     The first chunk is drawn at construction and each later one by the first
     `next()` after the previous is used up, so the order of draws from the
-    Generator is fixed.  A chunk is converted to Python floats `_WINDOW`
-    values at a time: a short run never converts draws it does not use.
+    Generator is fixed.  Each chunk is converted with one `tolist()`; the
+    engine's chunks hold `_CHUNK` draws, so a short run draws and converts
+    few that it does not use.
     """
 
     __slots__ = ("next",)
 
     def __init__(self, fill):
-        self.next = _windows(fill, fill()).__next__
+        later = iter(lambda: fill().tolist(), None)   # a list is never None
+        self.next = chain(fill().tolist(), chain.from_iterable(later)).__next__
 
 
 def _sample_zeta(gen, u, n, d):

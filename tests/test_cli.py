@@ -477,46 +477,46 @@ class TestPinnedDigests:
           "service": {"kind": "hyperexponential", "cv2": 4},
           "discipline": "PS", "record_events": True},
          {"trajectory.csv":
-          "267d1e3f9d92bd3acbfb898b1f354f9e4f7b8e95f8443e918ec9214b68e3864a",
+          "2f8f37d7ce41cbd7e407becb659838f1696ef1620d9705c79152ed8587631a50",
           "events.csv":
-          "c039f46ede6a9c2320f0a69d668bbd9987ffccbe820a3824615b73f11e3ec8f1"}),
+          "a2604cf82abc9746696631c076a995ada1bca6b736b26dbd57ea177641f88a4b"}),
         ("simulate-lifo-erlang-geometric",
          {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.8],
           "horizon": 300.0, "replications": 2, "seed": 22,
           "service": {"kind": "erlang", "shape": 4},
           "discipline": "LIFO_PR", "init": "geometric"},
          {"trajectory.csv":
-          "e55477f280ef056d587b124485e311957e9b305689a00f18cd3bab2b7b3d99fc"}),
+          "6a5be72af67e5137abfe6e12321b741d12e5f6841791dede445ace06fad13d7e"}),
         ("simulate-permutation",
          {"kind": "simulate", "N": [3], "D": [2], "lambda": [0.9],
           "horizon": 2000.0, "seed": 23, "record_events": True},
          {"trajectory.csv":
-          "365cbfdc3dffefd02a93cf6a037a67bd3080deacf5a81dbae44321628edb60ae",
+          "eccf0a90fab2ee1050c17c2ac8d671ecf897cbef7fde6b0659ad0fef36728a32",
           "events.csv":
-          "5f80ce218544da8affb0a7a6de0fec8539ef1bf38697697f019039bf4eb1cfa8"}),
+          "df4359a7e364df258ac8e1437eb95b6e372b8726ab61bd951c5047cd330e87c7"}),
         ("stationary-ps",
          {"kind": "stationary", "N": [50], "D": [2], "lambda": [0.9],
           "horizon": 100.0, "warmup": 10.0, "k_max": 6, "seed": 24,
           "service": {"kind": "hyperexponential", "cv2": 4},
           "discipline": "PS"},
          {"stationary.csv":
-          "4ce37f9160b4073ddac1c3d8412a14734658af5e88cbc28c91b10e9736833dcf"}),
+          "db432ed3922ffd054b6488bc1110100a1af7065bef9974a2def5e16b49c44a78"}),
         ("chaos-ps",
          {"kind": "chaos", "N": [20], "D": [2], "lambda": [0.5], "t": [1.0],
           "k": [0, 1, 2], "l": [0, 1], "replications": 50, "seed": 25,
           "discipline": "PS"},
          {"chaos.csv":
-          "4a052c197e385828b5754a3d88baffd7aac3118f785894e9e90ba7d8ec0a4155"}),
+          "75a7ff3f7979c52853cfe3424a7f95a845e0908963cdba9592bd725c5e9a309c"}),
         ("tagged-ps",
          {"kind": "tagged", "N": [20], "D": [2], "lambda": [0.5], "t": [2.0],
           "replications": 50, "seed": 26, "discipline": "PS"},
          {"tagged.csv":
-          "2afd803e6471c2a7929a6d283eef96a3d4c478426f2e701e0fd5ee139319316e"}),
+          "97f44bb24e4d0c4bf8318a9bdb925bf7103bb4b662b01a115621acb7d6bc3124"}),
         ("coupled-ps",
          {"kind": "coupled", "N": [10], "D": [2], "lambda": [0.5],
           "horizon": 4.0, "replications": 20, "seed": 27, "discipline": "PS"},
          {"coupled.csv":
-          "74b52cdfc03797d98bd1648e45f367c6fecd7cb097268da4e63e441adf3c5b85"}),
+          "775571320871c048743d04d23b3afc0e4b9cb5b1ef11c5f7184071be131a6623"}),
     ]
 
     @pytest.mark.parametrize("doc,digests", [c[1:] for c in CASES],

@@ -40,13 +40,30 @@ class TestRouting:
 
 class TestBuffer:
     def test_same_draws_as_generator_in_python_floats(self):
+        # three chunk boundaries crossed, the fourth chunk partly used
         gen = RngStream(16).child("buf").generator()
         ref = RngStream(16).child("buf").generator()
         buf = _Buffer(lambda: gen.random(_CHUNK))
-        got = [buf.next() for _ in range(2 * _CHUNK + 3)]
-        want = np.concatenate([ref.random(_CHUNK) for _ in range(3)])
+        got = [buf.next() for _ in range(3 * _CHUNK + 3)]
+        want = np.concatenate([ref.random(_CHUNK) for _ in range(4)])
         assert got == want[: len(got)].tolist()
         assert all(type(v) is float for v in got)
+
+    def test_chunks_drawn_at_build_then_when_used_up(self):
+        # two buffers on one Generator: each draws its first chunk when
+        # built, and its next one at the first draw past its last chunk
+        gen = RngStream(16).child("order").generator()
+        ref = RngStream(16).child("order").generator()
+        u = _Buffer(lambda: gen.random(_CHUNK)).next
+        e = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
+        got_e = [e() for _ in range(_CHUNK + 1)]
+        got_u = [u() for _ in range(2 * _CHUNK + 1)]
+        want_u = ref.random(_CHUNK).tolist()
+        want_e = ref.standard_exponential(_CHUNK).tolist()
+        want_e += ref.standard_exponential(_CHUNK).tolist()
+        want_u += ref.random(2 * _CHUNK).tolist()
+        assert got_e == want_e[: len(got_e)]
+        assert got_u == want_u[: len(got_u)]
 
 
 class TestDepartureTiming:

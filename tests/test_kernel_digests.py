@@ -138,40 +138,40 @@ def _cavity_stationary():
 CASES = {
     "run-ps-erlang-geometric":
         (_run_ps_erlang,
-         "b5c66535d2c0a2a5f5ea9ce01670c2239270a227189aeb50b4e881077264fd99"),
+         "31eb3251157c3fa8d1674c57ec2dc04512b072f04bef560d072a360ad6b90d2a"),
     "run-fifo-det-all-at-2":
         (_run_fifo_det,
-         "430c6820a10cd57a79797362cd65d4e30318a66b4a442a0f3568cd36993c842a"),
+         "5daa4827527f53a801f553fdbe3c3b5bfee641ec832d72b6c61c25f6daef8af6"),
     "run-lifo-hyperexp-permutation":
         (_run_lifo_permutation,
-         "c867fae4a49bc404d5f36fc0febacd252c6a6bd648638c2c53f359be3b49a7aa"),
+         "32bc58c616078c5bc56a8a43126acf745d7573ddbc9f56c59f31bbf636020f3c"),
     "run-d2-ps-hyperexp-geometric":
         (_run_d2_ps_hyperexp,
-         "328956800c7733b36d67261d1c2577b590d75e6ed19e0b90d635c98c02a9accb"),
+         "8d44bf8b6f5fe805d386b6c9d69013fde9befc88c23c6c9289fa68b213a2d6d4"),
     "run-d2-lifo-erlang-all-at-2":
         (_run_d2_lifo_erlang,
-         "9b46eefbc0d02b7e788bf271d8cf86284959998c487c96b5cc9938e81e08f0ff"),
+         "d3120b7cbe4681ad530ebaa9c513d5d26cd6871808a27d81d30d2ad3e9cbb1a7"),
     "run-d2-fifo-det-all-at-2":
         (_run_d2_fifo_det,
-         "9338e9649cdbb60b18b48d6e3fa27299f05be60db07d60d0882a54b3c866ffaa"),
+         "34ccd95e3ea56a2e3715b236c839221e1c934d65850b58246c56926338f776eb"),
     "run-d2-n4-permutation":
         (_run_d2_permutation,
-         "cf6d9a2c252832f3648ba21c77564dc2b88bc5d93dfe9c48f634b39024b39f8c"),
+         "ac6f453248be4f743f5d4116f2e9906cfb56f60584322352416e1101b3022a19"),
     "coupled-ps-erlang-geometric":
         (_coupled_erlang_geometric,
-         "0231d0e0622d5a3f9d0a103cece50a82eba732306ff8db2a2adcd445af8d36e5"),
+         "a9a23b80c44c00f04e481c7e00f42f7b8c31c477e394ab8df9020b77bebbeb85"),
     "coupled-fifo-det-all-at-2":
         (_coupled_det_all_at_2,
-         "d24e681209059a5ed4ae2dfff72db648c9a169b1bea0b9fd475e82605ef20772"),
+         "a2177a168d476207e2a097ca17cb8fad9ada665aed9f715f32187fd4ddd9bdf5"),
     "coupled-lifo-d1-yellow-blue":
         (_coupled_lifo_d1,
-         "8dc4c53d730e0994fd33c919746ac9b0dac46330c93b43cc764542016ba8abb8"),
+         "d56c6201487f57036cb308633d09d500a7c82aa99a2f0f758830600707dc1c5f"),
     "coupled-d2-fifo-exp":
         (_coupled_d2_fifo_exp,
-         "019ef2f281cacbffbcf48b74499b2f9a3de2d24925d4602ebda9af88b8361087"),
+         "1496c0de5c60ff9828adae70858bebd9b22d7b1175041093541625a45d354bbd"),
     "cavity-stationary":
         (_cavity_stationary,
-         "631080daaaa2b583536f93f8793d410c91634fa98b10d57b4d599271a2c03312"),
+         "d48155c71f9461067a5b91d71981b3b3ca78ea3dd6e5b05b498942f67477d66d"),
 }
 
 
