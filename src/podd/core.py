@@ -87,9 +87,7 @@ class Configuration:
         queues = list(queues)
         if not queues:
             raise ValueError("a configuration needs at least one server")
-        # any(): an empty configuration skips the walk over its queues
-        if any(queues) and not all(0 < r < math.inf
-                                   for r in chain.from_iterable(queues)):
+        if not all(0 < r < math.inf for r in chain.from_iterable(queues)):
             raise ValueError("job residual must be positive and finite")
         self.queues = queues
         self.N = len(queues)

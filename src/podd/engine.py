@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -147,15 +147,10 @@ class _System:
         self.last = [0.0] * n
         self.ver = [0] * n
         self.heap = []
-        if queues is None or not any(queues):
-            self.jobs = [[] for _ in range(n)]
-            self.lengths = [0] * n
-            return
-        self.jobs = [q[:] for q in queues]
-        self.lengths = [len(q) for q in queues]
-        for s, ln in enumerate(self.lengths):
-            if ln:
-                self._schedule(s, 0.0)
+        self.jobs = list(map(list, [()] * n if queues is None else queues))
+        self.lengths = list(map(len, self.jobs))
+        for s in compress(range(n), self.lengths):
+            self._schedule(s, 0.0)
 
 
 class _Fifo(_System):

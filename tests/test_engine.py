@@ -172,6 +172,23 @@ class TestRun:
         final_jobs = sum(traj.final_lengths)
         assert final_jobs == log.n_arrivals - len(log.departures)
 
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR])
+    @pytest.mark.parametrize("wrap", [tuple, np.array])
+    def test_any_sequence_of_residuals_as_queue(self, disc, wrap):
+        # the kernel copies each queue into a list of its own, so tuples and
+        # arrays start the same run as lists, and init is left untouched
+        queues = [[1.5, 0.5], [], [2.0]]
+        init = Configuration([wrap(q) for q in queues])
+        kw = dict(record_departures=True)
+        a_t, a_l = run(3, 2, 0.5, EXP, disc, init, 4.0, [4.0],
+                       RngStream(12).child("wrap"), **kw)
+        b_t, b_l = run(3, 2, 0.5, EXP, disc, Configuration(queues), 4.0,
+                       [4.0], RngStream(12).child("wrap"), **kw)
+        assert a_l.departures == b_l.departures
+        assert len(a_l.departures) >= 3
+        assert (a_t.final_lengths == b_t.final_lengths).all()
+        assert [list(q) for q in init.queues] == queues
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run(5, 2, 1.5, EXP, FIFO, Configuration.empty(5), 1.0, [], RngStream(0))

@@ -8,8 +8,9 @@ service, empty start, for t = 1e-9 and t = 1, and `podd.cli._coupled_rep` at
 N=100, D=2, lambda=0.5, horizon 4 (the `many-reps` benchmark's sizes).  At
 t = 1e-9 no event happens, so that time is a replication's fixed cost:
 streams, draw buffers, kernel, snapshot.  Each line gives the best, over
-`--repeat` passes, of the mean time per replication in microseconds.  The
-host's load moves these numbers; compare two checkouts by alternating runs.
+REPEAT passes of REPS replications (REPS // 5 for coupled), of the mean
+time per replication in microseconds.  The host's load moves these
+numbers; compare two checkouts by alternating runs.
 """
 from __future__ import annotations
 
@@ -19,11 +20,13 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REPS = 2000
+REPEAT = 5
 
 
-def best_mean_us(fn, tasks, repeat):
+def best_mean_us(fn, tasks):
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         for task in tasks:
             fn(task)
@@ -34,9 +37,6 @@ def best_mean_us(fn, tasks, repeat):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(SRC), help="the src/ to import podd from")
-    p.add_argument("--reps", type=int, default=2000,
-                   help="replications per pass (coupled runs a fifth of them)")
-    p.add_argument("--repeat", type=int, default=5, help="passes; the best counts")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
     from podd.cli import _chaos_rep, _coupled_rep, parse_config
@@ -48,15 +48,15 @@ def main(argv=None) -> int:
                           "replications": 30, "seed": 1})
     for t in (1e-9, 1.0):
         tasks = [(200, 2, 0.5, t, chaos, root.child("chaos", r))
-                 for r in range(args.reps)]
-        us = best_mean_us(_chaos_rep, tasks, args.repeat)
+                 for r in range(REPS)]
+        us = best_mean_us(_chaos_rep, tasks)
         print(f"chaos N=200 t={t:g}: {us:.0f} us per replication")
     coupled = parse_config({"kind": "coupled", "N": [100], "D": [2],
                             "lambda": [0.5], "horizon": 4.0,
                             "replications": 1, "seed": 1})
     tasks = [(100, 2, 0.5, coupled, root.child("coupled", r))
-             for r in range(max(1, args.reps // 5))]
-    us = best_mean_us(_coupled_rep, tasks, args.repeat)
+             for r in range(REPS // 5)]
+    us = best_mean_us(_coupled_rep, tasks)
     print(f"coupled N=100 horizon=4: {us:.0f} us per replication")
     return 0
 
