@@ -517,6 +517,44 @@ class TestPinnedDigests:
           "horizon": 4.0, "replications": 20, "seed": 27, "discipline": "PS"},
          {"coupled.csv":
           "775571320871c048743d04d23b3afc0e4b9cb5b1ef11c5f7184071be131a6623"}),
+        # multi-cell grids, each with two or more values on every axis: the
+        # cell order, the row order and the D-versus-N skip show here
+        ("simulate-grid",
+         {"kind": "simulate", "N": [3, 6], "D": [2, 4], "lambda": [0.5, 0.8],
+          "horizon": 5.0, "replications": 2, "seed": 31,
+          "record_events": True},
+         {"trajectory.csv":
+          "7570fabeb413af2dcaee5cc68883b55fafffb6eb251a48ce96b939c918e84230",
+          "events.csv":
+          "f2cac2ce43b74e62ab56146405e0989ed46a62f0d4295ecb6f048731949d457b"}),
+        ("chaos-grid",
+         {"kind": "chaos", "N": [8, 12], "D": [2, 10], "lambda": [0.5, 0.7],
+          "t": [0.5, 1.0], "k": [0, 1], "l": [1, 2], "replications": 30,
+          "seed": 32},
+         {"chaos.csv":
+          "d0994a0b366c2fe79811ff5be8ab27e071f94e3aeb219d588d7f8dda2c27cab6"}),
+        ("tagged-grid",
+         {"kind": "tagged", "N": [2, 10, 20], "D": [2, 3],
+          "lambda": [0.5, 0.7], "t": [1.0, 2.0], "replications": 30,
+          "seed": 33},
+         {"tagged.csv":
+          "e48a372128c8404642cc4f03cc3357581267856c9cea02c19a225ca200aa7603"}),
+        ("coupled-grid",
+         {"kind": "coupled", "N": [5, 8], "D": [1, 2, 6], "lambda": [0.5, 0.7],
+          "horizon": 2.0, "replications": 3, "seed": 34, "init": "geometric"},
+         {"coupled.csv":
+          "fa967765d69cf02540fa48a24e6f4e6d3e7f0a88e0e1ed4b52d566764d0e36e5"}),
+        ("stationary-grid",
+         {"kind": "stationary", "N": [20, 30], "D": [2, 25],
+          "lambda": [0.5, 0.7], "horizon": 60.0, "warmup": 10.0, "k_max": 4,
+          "seed": 35},
+         {"stationary.csv":
+          "8444b21056dc6bcab6a2c7db972b19260e5d84bc72263bf1cd37e84864bb524d"}),
+        ("bounds-grid",
+         {"kind": "bounds", "N": [2, 3, 5], "D": [2, 3], "lambda": [0.5, 0.9],
+          "t": [0.5, 1.0], "seed": 36},
+         {"bounds.csv":
+          "e7dac9faaf2173bdfcdf8345d7e9fb5f70855ef7e438690e7b4ed1310b981dbd"}),
     ]
 
     @pytest.mark.parametrize("doc,digests", [c[1:] for c in CASES],
