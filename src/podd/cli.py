@@ -39,9 +39,6 @@ from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail,
 from .rates import (arrival_rate_closed, arrival_rate_hyper,
                     arrival_rate_plus_one)
 
-KINDS = ("bounds", "simulate", "chaos", "clan", "tagged", "stationary",
-         "rates-check", "coupled")
-
 INIT_PROFILES = ("empty", "all-at-2", "geometric")
 
 
@@ -218,6 +215,15 @@ _SCHEMAS = {
                 ("service", "discipline", "init")),
 }
 
+KINDS = tuple(_SCHEMAS)
+
+# The (N, D) cells each kind runs; a kind not named here runs D <= N.
+_RUNS_CELL = {
+    "bounds": lambda n, d: d < n,
+    "clan": lambda n, d: d < n,
+    "rates-check": lambda n, d: 2 <= n >= d,
+}
+
 
 def parse_config(text, kind: str | None = None) -> ExperimentSpec:
     """Validate a JSON experiment document into an ExperimentSpec.
@@ -266,7 +272,7 @@ def parse_config(text, kind: str | None = None) -> ExperimentSpec:
             not 0 <= v <= spec.horizon for v in spec.sample_times):
         raise ConfigError("sample_times: times must lie in [0, horizon]")
     # each load that _run_stationary runs must leave n_batches samples
-    if spec.kind == "stationary" and any(d <= n for n in spec.N for d in spec.D):
+    if spec.kind == "stationary" and any(_cells(spec, "N", "D")):
         for lam in spec.lam:
             times, warmup = _stationary_grid(spec, lam)
             if np.count_nonzero(times >= warmup) < spec.n_batches:
@@ -283,6 +289,24 @@ def _stationary_grid(spec, lam):
     times = np.linspace(0.0, spec.horizon, max(spec.n_batches * 32, 512))
     warmup = spec.warmup if spec.warmup is not None else 10.0 / (1.0 - lam)
     return times, warmup
+
+
+def _cells(spec, *axes):
+    """The cells of the spec's grid over `axes` (ExperimentSpec attributes,
+    the outermost first) in row order, less those whose (N, D) the kind
+    does not run."""
+    runs = _RUNS_CELL.get(spec.kind, lambda n, d: d <= n)
+    i, j = axes.index("N"), axes.index("D")
+    for cell in itertools.product(*(getattr(spec, a) for a in axes)):
+        if runs(cell[i], cell[j]):
+            yield cell
+
+
+def _reps(spec, label, *args):
+    """One task `(*args, rng)` per replication of a cell, where replication
+    r draws from the substream `RngStream(seed).child(label, r)`."""
+    base = RngStream(spec.seed)
+    return [(*args, base.child(label, r)) for r in range(spec.replications)]
 
 
 def _init_config(profile: str, n: int, lam: float, dist, rng: RngStream) -> Configuration:
@@ -356,9 +380,7 @@ class _Pool:
 
 def _run_bounds(spec, out_dir, pool):
     rows = []
-    for n, d, lam, t in itertools.product(spec.N, spec.D, spec.lam, spec.t):
-        if n <= d:
-            continue
+    for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
         inp = BoundInputs(n, d, lam, t)
         rows.append([n, d, _fmt(lam), _fmt(t),
                      _fmt(clan_growth_factor(inp)),
@@ -380,9 +402,7 @@ def _run_rates_check(spec, out_dir, pool):
     # load compare exactly as P1 * Q2 against P2 * Q1.
     rows = []
     failures = 0
-    for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
-        if not 1 <= d <= n or n < 2:
-            continue
+    for n, d, lam in _cells(spec, "N", "D", "lam"):
         lam_q = _exact_load(lam)
         # checks n, d and the load once per cell: every row below has
         # 0 <= pi_k1 < pi_k <= n, and so does its (n+1)-system occupancy
@@ -426,27 +446,36 @@ def _run_rates_check(spec, out_dir, pool):
     return 1 if failures else 0
 
 
+def _run_rep(task):
+    """One replication of the event engine: the kind's initial state, then
+    `run` over [0, horizon], sampled at `times`."""
+    n, d, lam, horizon, times, spec, rng = task
+    init = _init_config(spec.init, n, lam, spec.service, rng)
+    return run(n, d, lam, spec.service, spec.discipline, init, horizon,
+               times, rng.child("run"), record_events=spec.record_events)
+
+
 def _run_simulate(spec, out_dir, pool):
-    tasks = []
-    meta = []
-    base = RngStream(spec.seed)
-    for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
-        if d > n:
-            continue
-        for r in range(spec.replications):
-            tasks.append((n, d, lam, spec, base.child(f"sim-{n}-{d}-{lam}", r)))
-            meta.append((n, d, lam, r))
-    results = pool.map(_simulate_one, tasks)
+    times = (spec.sample_times if spec.sample_times is not None
+             else np.linspace(0.0, spec.horizon, 65))
+    cells = list(_cells(spec, "N", "D", "lam"))
+    # one map over every (cell, replication), so many small cells still
+    # spread over the workers
+    results = pool.map(_run_rep, [
+        task for n, d, lam in cells
+        for task in _reps(spec, f"sim-{n}-{d}-{lam}", n, d, lam,
+                          spec.horizon, times, spec)])
+    meta = list(itertools.product(cells, range(spec.replications)))
     # generators: each row is written as it is made, so no run holds all
     # of its rows at once
     traj_rows = ([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik]
-                 for (n, d, lam, r), (traj, _) in zip(meta, results)
+                 for ((n, d, lam), r), (traj, _) in zip(meta, results)
                  for tv, tc in zip(traj.times, traj.snapshots)
                  for k, pik in enumerate(tc.pi))
     # event times are Python floats, so repr is what _fmt writes
     event_rows = ([r, repr(ev.time), "A", ev.routed_to,
                    "|".join(map(str, ev.zeta))]
-                  for (*_, r), (_, log) in zip(meta, results)
+                  for (_, r), (_, log) in zip(meta, results)
                   for ev in log.arrivals)
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["rep", "N", "D", "lambda", "t", "k", "pi_k"], traj_rows)
@@ -456,33 +485,13 @@ def _run_simulate(spec, out_dir, pool):
     return 0
 
 
-def _simulate_one(task):
-    n, d, lam, spec, rng = task
-    init = _init_config(spec.init, n, lam, spec.service, rng)
-    times = (spec.sample_times if spec.sample_times is not None
-             else np.linspace(0.0, spec.horizon, 65))
-    return run(n, d, lam, spec.service, spec.discipline, init, spec.horizon,
-               times, rng.child("run"), record_events=spec.record_events)
-
-
-def _chaos_rep(task):
-    n, d, lam, horizon, spec, rng = task
-    init = _init_config(spec.init, n, lam, spec.service, rng)
-    traj, _ = run(n, d, lam, spec.service, spec.discipline, init, horizon,
-                  [horizon], rng.child("run"), record_events=False)
-    return traj
-
-
 def _run_chaos(spec, out_dir, pool):
     rows = []
     failures = 0
-    base = RngStream(spec.seed)
-    for n, d, lam, t in itertools.product(spec.N, spec.D, spec.lam, spec.t):
-        if d > n:
-            continue
-        tasks = [(n, d, lam, t, spec, base.child(f"chaos-{n}-{d}-{lam}-{t}", r))
-                 for r in range(spec.replications)]
-        trajs = pool.map(_chaos_rep, tasks)
+    for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
+        results = pool.map(_run_rep, _reps(spec, f"chaos-{n}-{d}-{lam}-{t}",
+                                           n, d, lam, t, [t], spec))
+        trajs = [traj for traj, _ in results]
         bound = chaos_bound(BoundInputs(n, d, lam, t))
         for k, l in itertools.product(spec.k, spec.l):
             row = cov_mk(trajs, k, l, t, level=0.95)
@@ -503,9 +512,7 @@ def _run_clan(spec, out_dir, pool):
     failures = 0
     base = RngStream(spec.seed)
     grid = tuple(sorted(spec.t))
-    for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
-        if n <= d:
-            continue
+    for n, d, lam in _cells(spec, "N", "D", "lam"):
         stats = clan_monte_carlo(n, d, lam, grid, spec.replications,
                                  base.child(f"clan-{n}-{d}-{lam}"))
         for i, t in enumerate(stats.t_grid):
@@ -526,14 +533,6 @@ def _run_clan(spec, out_dir, pool):
     return 1 if failures else 0
 
 
-def _tagged_rep(task):
-    n, d, lam, t, spec, rng = task
-    init = Configuration.empty(n)
-    traj, _ = run(n, d, lam, spec.service, spec.discipline, init, t, [t],
-                  rng.child("run"), record_events=False)
-    return int(traj.tagged[-1])
-
-
 def _cavity_rep(task):
     d, lam, t, spec, rng = task
     traj = run_cavity(d, lam, spec.service, spec.discipline, t,
@@ -543,23 +542,20 @@ def _cavity_rep(task):
 
 def _run_tagged(spec, out_dir, pool):
     rows = []
-    base = RngStream(spec.seed)
-    for d, lam, t in itertools.product(spec.D, spec.lam, spec.t):
-        ctasks = [(d, lam, t, spec, base.child(f"cavity-{d}-{lam}-{t}", r))
-                  for r in range(spec.replications)]
-        cavity_levels = pool.map(_cavity_rep, ctasks)
-        cav = level_distribution(cavity_levels, spec.k_max)
-        for n in spec.N:
-            if d > n:
-                continue
-            tasks = [(n, d, lam, t, spec, base.child(f"tagged-{n}-{d}-{lam}-{t}", r))
-                     for r in range(spec.replications)]
-            levels = pool.map(_tagged_rep, tasks)
-            emp = level_distribution(levels, spec.k_max)
-            tv = tv_distance(emp, cav)
-            # binomial-style noise scale on a TV estimate
-            ci = z_value(0.95) * math.sqrt(0.25 / spec.replications) * (spec.k_max + 1) ** 0.5
-            rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv), _fmt(ci)])
+    # binomial-style noise scale on a TV estimate
+    ci = z_value(0.95) * math.sqrt(0.25 / spec.replications) * (spec.k_max + 1) ** 0.5
+    # one cavity law per (D, lambda, t), compared with each N in turn
+    cells = _cells(spec, "D", "lam", "t", "N")
+    for (d, lam, t), group in itertools.groupby(cells, key=lambda c: c[:3]):
+        cav = level_distribution(pool.map(_cavity_rep, _reps(
+            spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)), spec.k_max)
+        for *_, n in group:
+            results = pool.map(_run_rep, _reps(
+                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [t], spec))
+            emp = level_distribution([int(traj.tagged[-1])
+                                      for traj, _ in results], spec.k_max)
+            rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv_distance(emp, cav)),
+                         _fmt(ci)])
     _write_csv(os.path.join(out_dir, "tagged.csv"),
                ["N", "D", "lambda", "t", "tv", "tv_ci"], rows)
     return 0
@@ -567,15 +563,11 @@ def _run_tagged(spec, out_dir, pool):
 
 def _run_stationary(spec, out_dir, pool):
     rows = []
-    base = RngStream(spec.seed)
-    for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
-        if d > n:
-            continue
+    for n, d, lam in _cells(spec, "N", "D", "lam"):
         times, warmup = _stationary_grid(spec, lam)
-        rng = base.child(f"stationary-{n}-{d}-{lam}")
-        traj, _ = run(n, d, lam, spec.service, spec.discipline,
-                      Configuration.empty(n), spec.horizon, times,
-                      rng.child("run"), record_events=False)
+        [(traj, _)] = pool.map(_run_rep, _reps(
+            spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon, times,
+            spec))
         for row in stationary_tail(traj, warmup, spec.n_batches, spec.k_max):
             k = row.params["k"]
             rows.append([n, d, _fmt(lam), k, _fmt(row.estimate),
@@ -597,13 +589,9 @@ def _coupled_rep(task):
 
 def _run_coupled(spec, out_dir, pool):
     rows = []
-    base = RngStream(spec.seed)
-    for n, d, lam in itertools.product(spec.N, spec.D, spec.lam):
-        if d > n:
-            continue
-        tasks = [(n, d, lam, spec, base.child(f"coupled-{n}-{d}-{lam}", r))
-                 for r in range(spec.replications)]
-        results = pool.map(_coupled_rep, tasks)
+    for n, d, lam in _cells(spec, "N", "D", "lam"):
+        results = pool.map(_coupled_rep, _reps(spec, f"coupled-{n}-{d}-{lam}",
+                                               n, d, lam, spec))
         for r, (y, rd, bl, h_s, h_l) in enumerate(results):
             rows.append([r, n, d, _fmt(lam), _fmt(spec.horizon),
                          y, rd, bl, h_s, h_l])

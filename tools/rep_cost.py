@@ -3,14 +3,14 @@
     python3 tools/rep_cost.py                    # this checkout's src/
     python3 tools/rep_cost.py --src OTHER/src    # another checkout
 
-Times `podd.cli._chaos_rep` at N=200, D=2, lambda=0.5, FIFO, exponential
-service, empty start, for t = 1e-9 and t = 1, and `podd.cli._coupled_rep` at
-N=100, D=2, lambda=0.5, horizon 4 (the `many-reps` benchmark's sizes).  At
-t = 1e-9 no event happens, so that time is a replication's fixed cost:
-streams, draw buffers, kernel, snapshot.  Each line gives the best, over
-REPEAT passes of REPS replications (REPS // 5 for coupled), of the mean
-time per replication in microseconds.  The host's load moves these
-numbers; compare two checkouts by alternating runs.
+Times `podd.cli._run_rep` on a `chaos` cell at N=200, D=2, lambda=0.5, FIFO,
+exponential service, empty start, for t = 1e-9 and t = 1, and
+`podd.cli._coupled_rep` at N=100, D=2, lambda=0.5, horizon 4 (the
+`many-reps` benchmark's sizes).  At t = 1e-9 no event happens, so that time
+is a replication's fixed cost: streams, draw buffers, kernel, snapshot.
+Each line gives the best, over REPEAT passes of REPS replications (REPS // 5
+for coupled), of the mean time per replication in microseconds.  The host's
+load moves these numbers; compare two checkouts by alternating runs.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(SRC), help="the src/ to import podd from")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
-    from podd.cli import _chaos_rep, _coupled_rep, parse_config
+    from podd.cli import _coupled_rep, _run_rep, parse_config
     from podd.core import RngStream
 
     root = RngStream(1)
@@ -47,9 +47,9 @@ def main(argv=None) -> int:
                           "lambda": [0.5], "t": [1.0], "k": [0], "l": [0],
                           "replications": 30, "seed": 1})
     for t in (1e-9, 1.0):
-        tasks = [(200, 2, 0.5, t, chaos, root.child("chaos", r))
+        tasks = [(200, 2, 0.5, t, [t], chaos, root.child("chaos", r))
                  for r in range(REPS)]
-        us = best_mean_us(_chaos_rep, tasks)
+        us = best_mean_us(_run_rep, tasks)
         print(f"chaos N=200 t={t:g}: {us:.0f} us per replication")
     coupled = parse_config({"kind": "coupled", "N": [100], "D": [2],
                             "lambda": [0.5], "horizon": 4.0,
