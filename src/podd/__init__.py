@@ -12,7 +12,7 @@ from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
                     tail_count_cov_bound, uniform_rate_bound)
 from .engine import (ArrivalEvent, EventLog, Trajectory, run,
                      sample_arrival_log, snapshot)
-from .ancestry import ClanResult, ClanStats, build_clan, clan_monte_carlo
+from .ancestry import ClanStats, build_clan, clan_monte_carlo
 from .cavity import (CoupledPair, level_distribution, run_cavity, run_coupled,
                      tv_distance)
 from .estimators import (EstimateRow, FitResult, cov_mk, fit_exp_decay,

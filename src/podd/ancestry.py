@@ -19,17 +19,6 @@ from .estimators import z_value
 
 
 @dataclass(frozen=True)
-class ClanResult:
-    server: int
-    t: float
-    psi: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.psi)
-
-
-@dataclass(frozen=True)
 class ClanStats:
     """Aggregates over replications, one entry per time-grid point."""
 
@@ -51,8 +40,9 @@ def _bits(indices) -> int:
     return m
 
 
-def build_clan(log: EventLog, i: int, t: float) -> ClanResult:
-    """Clan of server i over the last t time units of the log.
+def build_clan(log: EventLog, i: int, t: float) -> frozenset:
+    """Clan of server i over the last t time units of the log, as the set
+    of its servers.
 
     The reference scan, which the tests check `clan_monte_carlo` against.
     Pure function of the log: arrivals are scanned in decreasing time from the
@@ -71,8 +61,7 @@ def build_clan(log: EventLog, i: int, t: float) -> ClanResult:
         z = _bits(ev.zeta)
         if psi & z:
             psi |= z
-    members = frozenset(s for s in range(log.N) if psi >> s & 1)
-    return ClanResult(i, t, members)
+    return frozenset(s for s in range(log.N) if psi >> s & 1)
 
 
 def _aggregate(sizes, hits, t_grid) -> ClanStats:

@@ -333,18 +333,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("PODD_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("PODD_WORKERS: expected an integer") from None
-    return 1
-
-
 class _Pool:
     """Ordered map over one worker pool per subcommand run.  The pool is
     opened by the first map that has more than one task and more than one
@@ -642,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: PODD_WORKERS or 1)")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker processes (default: 1)")
     return p
 
 
@@ -656,14 +644,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec = parse_config({**spec.to_json(), "seed": args.seed},
                                 kind=args.kind)
-        workers = _resolve_workers(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    return run_experiment(spec, args.out, workers)
+    return run_experiment(spec, args.out, max(1, args.workers))
 
 
 if __name__ == "__main__":

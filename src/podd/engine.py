@@ -52,22 +52,18 @@ class Trajectory:
     final_lengths: np.ndarray | None = None
 
 
-class _Buffer:
-    """Chunked scalar draws from a Generator, handed out as Python floats by
-    `next()`.
+def _draws(fill):
+    """A function that hands out chunked scalar draws from a Generator as
+    Python floats, one per call; `fill()` draws one chunk.
 
-    The first chunk is drawn at construction and each later one by the first
-    `next()` after the previous is used up, so the order of draws from the
-    Generator is fixed.  Each chunk is converted with one `tolist()`; the
-    engine's chunks hold `_CHUNK` draws, so a short run draws and converts
-    few that it does not use.
+    The first chunk is drawn here and each later one by the first call after
+    the previous is used up, so the order of draws from the Generator is
+    fixed.  Each chunk is converted with one `tolist()`; the engine's chunks
+    hold `_CHUNK` draws, so a short run draws and converts few that it does
+    not use.
     """
-
-    __slots__ = ("next",)
-
-    def __init__(self, fill):
-        later = iter(lambda: fill().tolist(), None)   # a list is never None
-        self.next = chain(fill().tolist(), chain.from_iterable(later)).__next__
+    later = iter(lambda: fill().tolist(), None)   # a list is never None
+    return chain(fill().tolist(), chain.from_iterable(later)).__next__
 
 
 def _sample_zeta(gen, u, n, d):
@@ -280,9 +276,9 @@ def _buffers(gen, dist):
     """Draw functions for inter-arrival (standard exponential), uniform and
     service draws.  Each buffer draws its first chunk when it is built, so
     the order e, u, s here fixes the Generator's stream."""
-    return (_Buffer(lambda: gen.standard_exponential(_CHUNK)).next,
-            _Buffer(lambda: gen.random(_CHUNK)).next,
-            _Buffer(lambda: dist.sample(gen, _CHUNK)).next)
+    return (_draws(lambda: gen.standard_exponential(_CHUNK)),
+            _draws(lambda: gen.random(_CHUNK)),
+            _draws(lambda: dist.sample(gen, _CHUNK)))
 
 
 def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
@@ -398,7 +394,7 @@ def sample_arrival_log(N, D, lam, horizon, rng) -> EventLog:
     gen = as_generator(rng)
     n_arr = gen.poisson(lam * N * horizon)
     times = np.sort(gen.random(n_arr)) * horizon
-    unext = _Buffer(lambda: gen.random(_CHUNK)).next
+    unext = _draws(lambda: gen.random(_CHUNK))
     arrivals = [ArrivalEvent(float(times[i]), _sample_zeta(gen, unext, N, D), None)
                 for i in range(n_arr)]
     return EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,

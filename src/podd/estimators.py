@@ -28,12 +28,9 @@ def z_value(level: float) -> float:
 class EstimateRow:
     """One labelled point estimate with a normal-approximation CI."""
 
-    name: str
     params: dict
     estimate: float
     half_width: float
-    level: float
-    count: int
 
 
 def pair_covariance(pairs, level: float) -> tuple[Fraction, float]:
@@ -74,9 +71,8 @@ def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
     cov, half_width = pair_covariance(pairs, level)
     n_servers = snaps[0].N
     scale = n_servers * n_servers
-    return EstimateRow("cov_mk", {"N": n_servers, "k": k, "l": l, "t": t},
-                       abs(float(cov)) / scale, half_width / scale,
-                       level, len(pairs))
+    return EstimateRow({"N": n_servers, "k": k, "l": l, "t": t},
+                       abs(float(cov)) / scale, half_width / scale)
 
 
 def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
@@ -100,8 +96,7 @@ def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
         batches = vals.reshape(n_batches, per_batch).mean(axis=1)
         est = float(batches.mean())
         hw = z_value(level) * float(batches.std(ddof=1)) / math.sqrt(n_batches)
-        rows.append(EstimateRow("stationary_tail", {"N": n_servers, "k": k},
-                                est, hw, level, n_batches))
+        rows.append(EstimateRow({"N": n_servers, "k": k}, est, hw))
     return rows
 
 

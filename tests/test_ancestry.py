@@ -19,23 +19,23 @@ def make_log(n, horizon, events):
 class TestBuildClan:
     def test_empty_log(self):
         log = EventLog(horizon=1.0, N=5, D=2)
-        assert build_clan(log, 3, 1.0).psi == {3}
+        assert build_clan(log, 3, 1.0) == {3}
 
     def test_hand_trace(self):
         # scanned backwards: the later event pulls in server 1, then the
         # earlier one extends through 1 to 2
         log = make_log(4, 1.0, [(0.5, (1, 2)), (0.8, (0, 1))])
-        assert build_clan(log, 0, 1.0).psi == {0, 1, 2}
+        assert build_clan(log, 0, 1.0) == {0, 1, 2}
 
     def test_hand_trace_other_seed(self):
         log = make_log(4, 1.0, [(0.5, (1, 2)), (0.8, (0, 1))])
-        assert build_clan(log, 2, 1.0).psi == {1, 2}
+        assert build_clan(log, 2, 1.0) == {1, 2}
 
     def test_window_cuts_old_events(self):
         log = make_log(4, 1.0, [(0.5, (1, 2)), (0.8, (0, 1))])
         # window 0.3 only reaches back to time 0.7
-        assert build_clan(log, 0, 0.3).psi == {0, 1}
-        assert build_clan(log, 2, 0.3).psi == {2}
+        assert build_clan(log, 0, 0.3) == {0, 1}
+        assert build_clan(log, 2, 0.3) == {2}
 
     def test_window_validated(self):
         log = EventLog(horizon=1.0, N=3, D=2)
@@ -50,7 +50,7 @@ class TestBuildClan:
             log = sample_arrival_log(12, 2, 0.6, 2.0, root.child("mono", r))
             prev = set()
             for t in (0.0, 0.5, 1.0, 2.0):
-                psi = build_clan(log, 4, t).psi
+                psi = build_clan(log, 4, t)
                 assert 4 in psi
                 assert prev <= psi
                 prev = set(psi)
@@ -59,8 +59,8 @@ class TestBuildClan:
         root = RngStream(22)
         for r in range(40):
             log = sample_arrival_log(10, 2, 0.5, 1.0, root.child("sym", r))
-            a = build_clan(log, 0, 1.0).psi
-            b = build_clan(log, 3, 1.0).psi
+            a = build_clan(log, 0, 1.0)
+            b = build_clan(log, 3, 1.0)
             assert bool(a & b) == bool(b & a)
 
 
@@ -72,7 +72,7 @@ def assert_mc_matches_logs(n, d, lam, grid, reps, seed):
             for r in range(reps)]
     sizes, hits = [], []
     for log in logs:
-        clans = [(build_clan(log, 0, t).psi, build_clan(log, 1, t).psi)
+        clans = [(build_clan(log, 0, t), build_clan(log, 1, t))
                  for t in grid]
         sizes.append([(len(a) + len(b)) / 2 for a, b in clans])
         hits.append([1.0 if a & b else 0.0 for a, b in clans])
@@ -195,7 +195,7 @@ class TestBlockScanExact:
         counts, = gen.poisson_draws
         sizes, hits, top = [], [], 0
         for log in logs_from_draws(n, d, grid, counts, dsets, 7):
-            clans = [(build_clan(log, 0, t).psi, build_clan(log, 1, t).psi)
+            clans = [(build_clan(log, 0, t), build_clan(log, 1, t))
                      for t in grid]
             sizes.append([(len(a) + len(b)) / 2 for a, b in clans])
             hits.append([1.0 if a & b else 0.0 for a, b in clans])
@@ -213,8 +213,8 @@ class TestIndependenceSurrogate:
         a_hit = b_hit = both = 0
         for r in range(reps):
             log = sample_arrival_log(n, d, lam, t, root.child("ind", r))
-            a = build_clan(log, 0, t).psi == {0}
-            b = build_clan(log, 1, t).psi == {1}
+            a = build_clan(log, 0, t) == {0}
+            b = build_clan(log, 1, t) == {1}
             a_hit += a
             b_hit += b
             both += a and b

@@ -416,13 +416,6 @@ class TestDeterminism:
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, self.SIM)
-        a = tmp_path / "env"
-        monkeypatch.setenv("PODD_WORKERS", "2")
-        assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
-        assert (a / "trajectory.csv").exists()
-
 
 class TestClanCommand:
     def test_small_run(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution, tail_counts_from_lengths)
 from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
-                         _Buffer, _route, _System)
+                         _draws, _route, _System)
 from podd.rates import RateInputs, arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
@@ -20,7 +20,7 @@ def config_from_lengths(lengths, seed=0):
 class TestRouting:
     def _uniform(self, stream):
         gen = stream.generator()
-        return _Buffer(lambda: gen.random(8)).next
+        return _draws(lambda: gen.random(8))
 
     def test_unique_minimum(self):
         lengths = [3, 1, 2]
@@ -43,8 +43,8 @@ class TestBuffer:
         # three chunk boundaries crossed, the fourth chunk partly used
         gen = RngStream(16).child("buf").generator()
         ref = RngStream(16).child("buf").generator()
-        buf = _Buffer(lambda: gen.random(_CHUNK))
-        got = [buf.next() for _ in range(3 * _CHUNK + 3)]
+        draw = _draws(lambda: gen.random(_CHUNK))
+        got = [draw() for _ in range(3 * _CHUNK + 3)]
         want = np.concatenate([ref.random(_CHUNK) for _ in range(4)])
         assert got == want[: len(got)].tolist()
         assert all(type(v) is float for v in got)
@@ -54,8 +54,8 @@ class TestBuffer:
         # built, and its next one at the first draw past its last chunk
         gen = RngStream(16).child("order").generator()
         ref = RngStream(16).child("order").generator()
-        u = _Buffer(lambda: gen.random(_CHUNK)).next
-        e = _Buffer(lambda: gen.standard_exponential(_CHUNK)).next
+        u = _draws(lambda: gen.random(_CHUNK))
+        e = _draws(lambda: gen.standard_exponential(_CHUNK))
         got_e = [e() for _ in range(_CHUNK + 1)]
         got_u = [u() for _ in range(2 * _CHUNK + 1)]
         want_u = ref.random(_CHUNK).tolist()
