@@ -274,8 +274,8 @@ def _snapshot(lengths):
 
 def _buffers(gen, dist):
     """Draw functions for inter-arrival (standard exponential), uniform and
-    service draws.  Each buffer draws its first chunk when it is built, so
-    the order e, u, s here fixes the Generator's stream."""
+    service draws.  Each draws its first chunk when it is made, so the
+    order e, u, s here fixes the Generator's stream."""
     return (_draws(lambda: gen.standard_exponential(_CHUNK)),
             _draws(lambda: gen.random(_CHUNK)),
             _draws(lambda: dist.sample(gen, _CHUNK)))
