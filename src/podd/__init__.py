@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .core import (Configuration, Discipline, FIFO, LIFO_PR, PS, RngStream,
                    ServiceDistribution, TailCounts)
-from .rates import (BoundInputs, RateInputs, arrival_rate_closed,
+from .rates import (BoundInputs, arrival_rate_closed,
                     arrival_rate_hyper, arrival_rate_plus_one,
                     asymptotic_tail, cavity_rate, chaos_bound,
                     chaos_bound_limit, clan_intersection_bound,

@@ -104,9 +104,8 @@ def _distinct_rows(gen, n_rows, N, D):
 BLOCK_CELLS = 1 << 22
 
 
-def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
-                     pair=(0, 1)) -> ClanStats:
-    """Replication driver tracking one server pair.
+def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream) -> ClanStats:
+    """Replication driver tracking the server pair (0, 1).
 
     Scanning backwards from the horizon t_max = max(t_grid), band g holds the
     arrivals between times t_max - t_g and t_max - t_{g-1} (t_{-1} = 0).  Only
@@ -126,13 +125,10 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
     clans, a boolean membership row per replication, absorbs a D-set it
     meets; sizes and intersections are read at the end of each band.
     """
-    i, j = pair
     if not 1 <= D <= N:
         raise ValueError("need 1 <= D <= N")
-    if not (0 <= i < N and 0 <= j < N):
-        raise ValueError("pair indices must lie in range(N)")
-    if i == j:
-        raise ValueError("pair must be distinct")
+    if N < 2:
+        raise ValueError("a server pair needs N >= 2")
     t_grid = tuple(sorted(t_grid))
     if not t_grid:
         raise ValueError("time grid must not be empty")
@@ -147,8 +143,8 @@ def clan_monte_carlo(N, D, lam, t_grid, n_reps, rng: RngStream,
         m = counts[lo:lo + block]
         a = np.zeros((m.shape[0], N), dtype=bool)
         b = np.zeros_like(a)
-        a[:, i] = True
-        b[:, j] = True
+        a[:, 0] = True
+        b[:, 1] = True
         flat = (a.reshape(-1), b.reshape(-1))    # views: writes land in a, b
         for g in range(ng):
             col = m[:, g]

@@ -69,7 +69,8 @@ def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
     if sample_times is None:
         sample_times = [horizon]
     gen = as_generator(rng)
-    bound = uniform_rate_bound(D, lam)
+    p, q = uniform_rate_bound(D)
+    bound = lam * (p / q)
     sysm = _System(1, disc)
     enext, unext, snext = _buffers(gen, dist)
     arrive, lengths = sysm.arrive, sysm.lengths
@@ -88,7 +89,6 @@ def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
 
 def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
                 init: Configuration, horizon, rng, sample_times=None,
-                enable=("yellow", "red", "blue"),
                 record_events=False) -> CoupledPair:
     """Drive an N-server and an (N+1)-server system from three streams.
 
@@ -102,8 +102,7 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     queues by u (the tied server at index int(u * ties) in D-set order), so
     where the sampled lengths agree both systems route alike.  Each system
     alone still breaks ties with a fresh uniform per arrival: only the joint
-    law is coupled.  `enable` exists for testing: disabled streams emit
-    nothing.
+    law is coupled.
 
     Both systems live in one kernel of 2N+1 servers: 0..N-1 are the small
     system and N..2N the large one (server N+i is the large system's server
@@ -121,7 +120,7 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     gen = as_generator(rng)
 
     rates = {"yellow": lam * (N - D + 1), "red": lam * (D - 1), "blue": lam * D}
-    active = [s for s in ("yellow", "red", "blue") if s in enable and rates[s] > 0]
+    active = [s for s in ("yellow", "red", "blue") if rates[s] > 0]
     total = sum(rates[s] for s in active)
     thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
 

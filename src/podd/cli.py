@@ -29,15 +29,12 @@ from .core import (RNG_KEY_LIMIT, Configuration, Discipline, RngStream,
 from .engine import run
 from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
                          stationary_tail, z_value)
-from .rates import (BoundInputs, PLUS_ONE_SHIFT, RateInputs, asymptotic_tail,
-                    chaos_bound, chaos_bound_limit,
+from .rates import (BoundInputs, PLUS_ONE_SHIFT, arrival_rate_closed,
+                    arrival_rate_hyper, arrival_rate_plus_one,
+                    asymptotic_tail, chaos_bound, chaos_bound_limit,
                     clan_growth_factor, clan_intersection_bound,
-                    clan_size_bound, closed_ratio, hyper_ratio,
-                    limit_bound_is_valid, monotone_threshold, plus_one_ratio,
-                    tail_count_cov_bound, uniform_bound_ratio)
-# unused here; perfbench/spans.py patches these names on this module
-from .rates import (arrival_rate_closed, arrival_rate_hyper,
-                    arrival_rate_plus_one)
+                    clan_size_bound, limit_bound_is_valid, monotone_threshold,
+                    tail_count_cov_bound, uniform_rate_bound)
 
 INIT_PROFILES = ("empty", "all-at-2", "geometric")
 
@@ -220,6 +217,7 @@ KINDS = tuple(_SCHEMAS)
 # The (N, D) cells each kind runs; a kind not named here runs D <= N.
 _RUNS_CELL = {
     "bounds": lambda n, d: d < n,
+    "chaos": lambda n, d: d < n,
     "clan": lambda n, d: d < n,
     "rates-check": lambda n, d: 2 <= n >= d,
 }
@@ -392,24 +390,22 @@ def _run_rates_check(spec, out_dir, pool):
     failures = 0
     for n, d, lam in _cells(spec, "N", "D", "lam"):
         lam_q = _exact_load(lam)
-        # checks n, d and the load once per cell: every row below has
-        # 0 <= pi_k1 < pi_k <= n, and so does its (n+1)-system occupancy
-        RateInputs(n, d, lam_q, n, 0)
         lam_p, lam_r = lam_q.numerator, lam_q.denominator
         lam_s = _fmt(lam)
-        ub_p, ub_q = uniform_bound_ratio(d)
+        ub_p, ub_q = uniform_rate_bound(d)
         gate_above = d >= 2 and n >= monotone_threshold(d)
         for pi_k in range(1, n + 1):
             for pi_k1 in range(pi_k):
-                cp, cq = closed_ratio(n, d, pi_k, pi_k1)
-                hp, hq = hyper_ratio(n, d, pi_k, pi_k1)
+                cp, cq = arrival_rate_closed(n, d, pi_k, pi_k1)
+                hp, hq = arrival_rate_hyper(n, d, pi_k, pi_k1)
                 identity_ok = cp * hq == hp * cq
                 uniform_ok = cp * ub_q <= ub_p * cq
                 consistency_ok = True
                 mono = {}
                 for rel, (up_k, up_k1) in PLUS_ONE_SHIFT.items():
-                    pp, pq = plus_one_ratio(n, d, pi_k, pi_k1, rel)
-                    ap, aq = closed_ratio(n + 1, d, pi_k + up_k, pi_k1 + up_k1)
+                    pp, pq = arrival_rate_plus_one(n, d, pi_k, pi_k1, rel)
+                    ap, aq = arrival_rate_closed(n + 1, d, pi_k + up_k,
+                                                 pi_k1 + up_k1)
                     if ap * pq != pp * aq:
                         consistency_ok = False
                     mono[rel] = pp * cq >= cp * pq

@@ -1,55 +1,27 @@
 """Closed-form arrival rates and correlation bounds for JSQ(D) systems.
 
-Every function here is a pure function of scalar inputs.  Each rate kernel
-reduces its combinatorial sum to one ratio of Python ints P/Q with Q > 0 (the
-1/i terms share the denominator lcm(1..d)), returned by its `*_ratio`
-function, so the rate is lam * P / Q.  The `*_ratio` kernels take
-(n, d, pi_k, pi_k1) as ints and check nothing; the `arrival_rate_*` wrappers
-take a validated `RateInputs`.  Since lam > 0 scales both sides, two
-rates at one load compare exactly as P1 * Q2 against P2 * Q1.  A `Fraction`
-load gives the rate exactly, which the test suite uses as its
-arbitrary-precision oracle.  A float load gives lam * float(P/Q): the ratio
-is rounded once to the nearest float and then multiplied by lam, so the
-result is within two roundings (relative error below 2.3e-16) of the exact
-rate at that load.
+Every function here is a pure function of scalar inputs.  Each rate formula
+is one function of (n, d, pi_k, pi_k1) as ints that reduces its combinatorial
+sum to one ratio of Python ints (P, Q) with Q > 0 (the 1/i terms share the
+denominator lcm(1..d)), so the rate at load lam is lam * P / Q.  The rate
+functions check nothing: callers keep 1 <= d <= n and
+0 <= pi_k1 < pi_k <= n.  Since lam > 0 scales both sides, two rates at one
+load compare exactly as P1 * Q2 against P2 * Q1.  lam * Fraction(P, Q) is the
+rate exactly for a `Fraction` load, which the test suite uses as its
+arbitrary-precision oracle; for a float load, lam * (P / Q) rounds the ratio
+once to the nearest float and then multiplies by lam, so it is within two
+roundings (relative error below 2.3e-16) of the exact rate at that load.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 # Shift of (pi_k, pi_k1) when the (n+1)-th server is counted at its position
 # relative to the tagged level: below it, at it or above it.
 PLUS_ONE_SHIFT = {"below": (0, 0), "equal": (1, 0), "above": (1, 1)}
-RELATIONS = tuple(PLUS_ONE_SHIFT)
-
-
-@dataclass(frozen=True)
-class RateInputs:
-    """Occupancy context for the per-server arrival rate at one level.
-
-    `pi_k` / `pi_k1` are the numbers of servers at level >= k and >= k+1
-    (the tagged server sits at exactly level k, so pi_k1 < pi_k strictly).
-    """
-
-    n: int
-    d: int
-    lam: float
-    pi_k: int
-    pi_k1: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two servers")
-        if not 1 <= self.d <= self.n:
-            raise ValueError("need 1 <= d <= n")
-        if not 0 < self.lam < 1:
-            raise ValueError("load must lie in (0, 1)")
-        if not 0 <= self.pi_k1 < self.pi_k <= self.n:
-            raise ValueError("need 0 <= pi_k1 < pi_k <= n")
 
 
 @dataclass(frozen=True)
@@ -102,16 +74,13 @@ def _lcm_upto(d: int) -> int:
     return math.lcm(*range(1, d + 1))
 
 
-def _scaled(lam, p: int, q: int):
-    """lam * p / q for ints p >= 0 and q > 0: one exact `Fraction` for a
-    `Fraction` load, else lam times p/q rounded once to a float."""
-    if isinstance(lam, Fraction):
-        return Fraction(lam.numerator * p, lam.denominator * q)
-    return lam * (p / q)    # int / int is correctly rounded
+def arrival_rate_hyper(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
+    """Arrival rate to the tagged server, as the explicit sum over how many of
+    the d sampled servers sit at the tagged level (hypergeometric weights).
 
-
-def hyper_ratio(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_hyper` = lam * P / Q; unchecked."""
+    `pi_k` / `pi_k1` are the numbers of servers at level >= k and >= k+1 (the
+    tagged server sits at exactly level k, so pi_k1 < pi_k).  Returns (P, Q)
+    with the rate lam * P / Q."""
     gap = pi_k - pi_k1
     top = _lcm_upto(d)      # sum_i w_i / i = total / top
     total = 0
@@ -120,34 +89,19 @@ def hyper_ratio(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
     return n * total, comb(n, d) * top
 
 
-def arrival_rate_hyper(inp: RateInputs):
-    """Arrival rate to the tagged server, as the explicit sum over how many of
-    the d sampled servers sit at the tagged level (hypergeometric weights)."""
-    return _scaled(inp.lam, *hyper_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1))
-
-
-def closed_ratio(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_closed` = lam * P / Q; unchecked."""
+def arrival_rate_closed(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
+    """Same rate via the binomial-difference form, valid for every admissible
+    occupancy under the convention C(n, r) = 0 outside 0 <= r <= n; (P, Q)
+    with the rate lam * P / Q."""
     return n * (comb(pi_k, d) - comb(pi_k1, d)), comb(n, d) * (pi_k - pi_k1)
 
 
-def arrival_rate_closed(inp: RateInputs):
-    """Same rate via the binomial-difference form, valid for every admissible
-    occupancy under the convention C(n, r) = 0 outside 0 <= r <= n."""
-    return _scaled(inp.lam, *closed_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1))
-
-
-def uniform_bound_ratio(d: int) -> tuple[int, int]:
-    """(d^d, (d-1)!), the ratio of `uniform_rate_bound`."""
+def uniform_rate_bound(d: int) -> tuple[int, int]:
+    """(d^d, (d-1)!): lam * d^d / (d-1)! dominates the arrival rate for every
+    system size and occupancy."""
     if d < 1:
         raise ValueError("d must be >= 1")
     return d**d, math.factorial(d - 1)
-
-
-def uniform_rate_bound(d: int, lam):
-    """Upper bound lam * d^d / (d-1)! that dominates the arrival rate for
-    every system size and occupancy."""
-    return _scaled(lam, *uniform_bound_ratio(d))
 
 
 def monotone_threshold(d: int) -> int:
@@ -160,31 +114,12 @@ def monotone_threshold(d: int) -> int:
     return 3 * d - 4
 
 
-def plus_one_ratio(n: int, d: int, pi_k: int, pi_k1: int,
-                   relation: str) -> tuple[int, int]:
-    """(P, Q) with `arrival_rate_plus_one` = lam * P / Q; unchecked, and any
-    relation other than "below" or "above" is taken as "equal"."""
-    gap = pi_k - pi_k1
-    delta = comb(pi_k, d) - comb(pi_k1, d)
-    if relation == "below":
-        return (n - d + 1) * delta, comb(n, d) * gap
-    top = _lcm_upto(d)      # E = extra / top
-    extra = 0
-    if relation == "above":
-        # i = d would need C(pi_k1, -1), which vanishes by convention
-        for i in range(1, d):
-            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
-    else:
-        for i in range(2, d + 1):
-            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
-    return ((n - d + 1) * (delta * top + extra * gap),
-            comb(n, d) * gap * top)
-
-
-def arrival_rate_plus_one(inp: RateInputs, relation: str):
+def arrival_rate_plus_one(n: int, d: int, pi_k: int, pi_k1: int,
+                          relation: str) -> tuple[int, int]:
     """Arrival rate to the tagged server in the (n+1)-server system, written
-    in terms of the first n servers' occupancy plus the relation of the extra
-    server's queue length to the tagged level.
+    in terms of the first n servers' occupancy plus the relation ("below",
+    "equal" or "above") of the extra server's queue length to the tagged
+    level; (P, Q) with the rate lam * P / Q.
 
     The shared-stream ("yellow") term is always present; an extra term is
     added when the new server sits strictly above the tagged level or exactly
@@ -196,23 +131,23 @@ def arrival_rate_plus_one(inp: RateInputs, relation: str):
     C(pi_k1, d), gap g and extra sum E the rate is
     lam * (n-d+1) * (Delta/g + E) / C(n, d).
     """
-    _require_relation(relation)
-    return _scaled(inp.lam, *plus_one_ratio(inp.n, inp.d, inp.pi_k, inp.pi_k1,
-                                            relation))
-
-
-def adjusted_plus_one_inputs(inp: RateInputs, relation: str) -> RateInputs:
-    """Occupancy of the (n+1)-server system once the extra server is counted
-    at its stated position relative to the tagged level."""
-    _require_relation(relation)
-    up_k, up_k1 = PLUS_ONE_SHIFT[relation]
-    return RateInputs(inp.n + 1, inp.d, inp.lam, inp.pi_k + up_k,
-                      inp.pi_k1 + up_k1)
-
-
-def _require_relation(relation: str):
-    if relation not in PLUS_ONE_SHIFT:
-        raise ValueError(f"relation must be one of {RELATIONS}")
+    gap = pi_k - pi_k1
+    delta = comb(pi_k, d) - comb(pi_k1, d)
+    if relation == "below":
+        return (n - d + 1) * delta, comb(n, d) * gap
+    top = _lcm_upto(d)      # E = extra / top
+    extra = 0
+    if relation == "above":
+        # i = d would need C(pi_k1, -1), which vanishes by convention
+        for i in range(1, d):
+            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
+    elif relation == "equal":
+        for i in range(2, d + 1):
+            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
+    else:
+        raise ValueError(f"relation must be one of {tuple(PLUS_ONE_SHIFT)}")
+    return ((n - d + 1) * (delta * top + extra * gap),
+            comb(n, d) * gap * top)
 
 
 # ---------------------------------------------------------------------------

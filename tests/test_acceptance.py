@@ -22,11 +22,11 @@ from podd.cavity import level_distribution, run_cavity, tv_distance
 from podd.cli import main
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
-from podd.estimators import cov_mk, fit_exp_decay, stationary_tail, z_value
-from podd.rates import (BoundInputs, RateInputs, adjusted_plus_one_inputs,
-                        arrival_rate_closed, arrival_rate_hyper,
-                        arrival_rate_plus_one, asymptotic_tail, cavity_rate,
-                        chaos_bound, clan_intersection_bound, clan_size_bound,
+from podd.estimators import cov_mk, fit_exp_decay, stationary_tail
+from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
+                        arrival_rate_hyper, arrival_rate_plus_one,
+                        asymptotic_tail, cavity_rate, chaos_bound,
+                        clan_intersection_bound, clan_size_bound,
                         monotone_threshold, uniform_rate_bound)
 
 EXP = ServiceDistribution.exponential()
@@ -41,6 +41,11 @@ def verdict(num, label, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def rate(kernel, lam, *args):
+    """The rate lam * P / Q of a kernel's (P, Q)."""
+    return lam * Fraction(*kernel(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +72,21 @@ def rate_scan():
     }
     for n in range(2, 61):
         for d in range(1, min(6, n - 1 if n > 2 else 1) + 1):
-            bound = uniform_rate_bound(d, lam)
+            bound = rate(uniform_rate_bound, lam, d)
             for pik in range(1, n + 1):
                 for pik1 in range(pik):
-                    inp = RateInputs(n, d, lam, pik, pik1)
-                    closed = arrival_rate_closed(inp)
+                    occ = (n, d, pik, pik1)
+                    closed = rate(arrival_rate_closed, lam, *occ)
                     if closed > bound:
                         out["uniform_bad"] += 1
                     out["uniform_checked"] += 1
                     if n <= 20:
-                        if arrival_rate_hyper(inp) != closed:
+                        if rate(arrival_rate_hyper, lam, *occ) != closed:
                             out["identity_exact_bad"] += 1
                         out["identity_checked"] += 1
                     elif n <= 40:
-                        fin = RateInputs(n, d, 0.5, pik, pik1)
-                        h = float(arrival_rate_hyper(fin))
-                        c = float(arrival_rate_closed(fin))
+                        h = rate(arrival_rate_hyper, 0.5, *occ)
+                        c = rate(arrival_rate_closed, 0.5, *occ)
                         rel = abs(h - c) / c if c else abs(h)
                         out["identity_float_max_rel"] = max(
                             out["identity_float_max_rel"], rel)
@@ -92,9 +96,11 @@ def rate_scan():
                     compared = d >= 2 and n >= monotone_threshold(d)
                     np1 = {}
                     for rel_name in ("above", "equal", "below"):
-                        np1[rel_name] = arrival_rate_plus_one(inp, rel_name)
-                        adj = arrival_rate_closed(
-                            adjusted_plus_one_inputs(inp, rel_name))
+                        np1[rel_name] = rate(arrival_rate_plus_one, lam,
+                                             *occ, rel_name)
+                        up_k, up_k1 = PLUS_ONE_SHIFT[rel_name]
+                        adj = rate(arrival_rate_closed, lam, n + 1, d,
+                                   pik + up_k, pik1 + up_k1)
                         if np1[rel_name] != adj:
                             out["consistency_bad"] += 1
                         out["consistency_checked"] += 1
@@ -154,10 +160,11 @@ def test_criterion_2_monotone_equal(rate_scan):
     # pi=(6,5) gives 5/9 at N but only 11/20 at N+1.
     bad = rate_scan["equal_sign_bad"]
     first = rate_scan["mono_first"].get("equal")
-    dense = RateInputs(10, 2, Fraction(1, 2), 6, 5)
+    half = Fraction(1, 2)
     pinned = (first == (3, 2, 3, 1, Fraction(3, 4), Fraction(2, 3))
-              and arrival_rate_closed(dense) == Fraction(5, 9)
-              and arrival_rate_plus_one(dense, "equal") == Fraction(11, 20))
+              and rate(arrival_rate_closed, half, 10, 2, 6, 5) == Fraction(5, 9)
+              and rate(arrival_rate_plus_one, half, 10, 2, 6, 5, "equal")
+              == Fraction(11, 20))
     verdict(2, "N+1 rate rises exactly when the sign condition holds, "
                "added server at level k", bad == 0 and pinned,
             f"{rate_scan['mono_checked']} occupancies, "
@@ -329,17 +336,9 @@ def test_criterion_9_cavity_fixed_point():
     warm, horizon = 100.0, 4100.0
     traj = run_cavity(d, lam, EXP, FIFO, horizon, RngStream(1009).child("mc"),
                       sample_times=np.linspace(0.0, horizon, int(horizon) + 1))
-    keep = traj.tagged[int(warm):]
-    n_batches = 20
-    per = keep.size // n_batches
-    mc_bad = []
-    for k in range(5):
-        vals = (keep[: per * n_batches] >= k).astype(float)
-        batches = vals.reshape(n_batches, per).mean(axis=1)
-        est = float(batches.mean())
-        hw = z_value(0.95) * float(batches.std(ddof=1)) / math.sqrt(n_batches)
-        if abs(est - asymptotic_tail(d, lam, k)) > 3 * max(hw, 1e-4):
-            mc_bad.append(k)
+    mc_bad = [row.params["k"] for row in stationary_tail(traj, warm, 20, k_max=4)
+              if abs(row.estimate - asymptotic_tail(d, lam, row.params["k"]))
+              > 3 * max(row.half_width, 1e-4)]
     verdict(9, "tail recursion is an exact flux balance and simulates true",
             alg_ok and not mc_bad,
             f"max rel defect {worst:.2e}, MC misses: {mc_bad}")

@@ -109,13 +109,6 @@ class TestClanMonteCarlo:
         with pytest.raises(ValueError, match="D"):
             clan_monte_carlo(2, 3, 0.5, (0.5,), 5, RngStream(1))
 
-    @pytest.mark.parametrize("pair,match", [
-        ((0, 10), "range"), ((-1, 3), "range"), ((3, 3), "distinct"),
-    ], ids=["pair0", "pair1", "pair2"])
-    def test_pair_outside_servers_rejected(self, pair, match):
-        with pytest.raises(ValueError, match=match):
-            clan_monte_carlo(10, 2, 0.5, (0.5,), 5, RngStream(1), pair=pair)
-
     def test_t_zero(self):
         st = clan_monte_carlo(8, 2, 0.5, (0.0, 0.5), 50, RngStream(23).child("z"))
         assert st.mean_size[0] == 1.0

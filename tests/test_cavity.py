@@ -101,21 +101,13 @@ class TestRunCoupled:
         assert abs((y + b) / t_total - lam * (n + 1)) < 4 * math.sqrt(lam * n / t_total)
         assert abs((y + r) / t_total - lam * n) < 4 * math.sqrt(lam * n / t_total)
 
-    def test_silenced_streams(self):
-        pair = run_coupled(10, 2, 0.5, EXP, FIFO, Configuration.empty(10),
-                           10.0, RngStream(36).child("sil"), enable=("red",))
-        assert pair.counts["yellow"] == pair.counts["blue"] == 0
-        assert pair.traj_large.final_lengths.sum() == 0
-        assert pair.traj_small.final_lengths.sum() >= 0
-
     def test_shared_arrivals_align_systems(self):
-        # with only the shared stream and identical tie-breaking inputs the
-        # two systems start equal and receive identical arrivals, so the
-        # large system's extra server stays empty
+        # at D = 1 the red stream's rate is 0 and a blue arrival samples only
+        # the extra server, so the first N servers of both systems start
+        # equal and receive identical arrivals with shared service
         pair = run_coupled(8, 1, 0.5, EXP, FIFO, Configuration.empty(8),
-                           5.0, RngStream(37).child("al"),
-                           enable=("yellow",))
-        assert pair.traj_large.final_lengths[-1] == 0
+                           5.0, RngStream(37).child("al"))
+        assert pair.counts["red"] == 0
         assert (pair.traj_small.final_lengths
                 == pair.traj_large.final_lengths[:-1]).all()
 

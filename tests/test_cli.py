@@ -201,13 +201,13 @@ class TestExitCodes:
     def test_rates_check_identity_off_by_one_is_1(self, tmp_path, monkeypatch):
         # one unit more in the hyper numerator on one cell must fail that row
         import podd.cli
-        real = podd.cli.hyper_ratio
+        real = podd.cli.arrival_rate_hyper
 
         def skewed(n, d, pi_k, pi_k1):
             p, q = real(n, d, pi_k, pi_k1)
             return (p + 1, q) if (pi_k, pi_k1) == (4, 1) else (p, q)
 
-        monkeypatch.setattr(podd.cli, "hyper_ratio", skewed)
+        monkeypatch.setattr(podd.cli, "arrival_rate_hyper", skewed)
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6],
                                       "D": [3], "lambda": [0.3], "seed": 1})
         out = tmp_path / "rc"
@@ -221,14 +221,14 @@ class TestExitCodes:
         # one unit more in one relation's (n+1)-system numerator, on one row
         # of one cell, must fail that row's consistency and no other
         import podd.cli
-        real = podd.cli.plus_one_ratio
+        real = podd.cli.arrival_rate_plus_one
 
         def skewed(n, d, pi_k, pi_k1, relation):
             p, q = real(n, d, pi_k, pi_k1, relation)
             hit = (n, pi_k, pi_k1, relation) == (6, 4, 1, "equal")
             return (p + 1, q) if hit else (p, q)
 
-        monkeypatch.setattr(podd.cli, "plus_one_ratio", skewed)
+        monkeypatch.setattr(podd.cli, "arrival_rate_plus_one", skewed)
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6, 7],
                                       "D": [3], "lambda": [0.3], "seed": 1})
         out = tmp_path / "rc"
@@ -260,13 +260,13 @@ class TestExitCodes:
         assert {d for d, _ in clean} == {"1", "2"}
         assert all(ok == "1" for _, ok in clean)
 
-        real = podd.cli.uniform_bound_ratio
+        real = podd.cli.uniform_rate_bound
 
         def lowered(d):
             p, q = real(d)
             return (p - 1, q) if d == 1 else (p, q)
 
-        monkeypatch.setattr(podd.cli, "uniform_bound_ratio", lowered)
+        monkeypatch.setattr(podd.cli, "uniform_rate_bound", lowered)
         code, skewed = uniform_column(tmp_path / "skew")
         assert code == 1
         assert [ok for _, ok in skewed] == [
@@ -415,6 +415,19 @@ class TestDeterminism:
             os.environ.get("PYTHONPATH")]))}
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
+
+
+class TestChaosCommand:
+    def test_cells_without_room_for_the_bound_are_skipped(self, tmp_path):
+        # chaos_bound needs N > D: a D = N cell ran its replications and then
+        # stopped the run with a traceback (exit 1)
+        cfg = write_config(tmp_path, {"kind": "chaos", "N": [3, 5], "D": [3],
+                                      "lambda": [0.5], "t": [1.0], "k": [1],
+                                      "l": [1], "replications": 30, "seed": 1})
+        out = tmp_path / "ch"
+        assert main(["chaos", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "chaos.csv") as fh:
+            assert [r["N"] for r in csv.DictReader(fh)] == ["5"]
 
 
 class TestClanCommand:

@@ -7,7 +7,7 @@ from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution, tail_counts_from_lengths)
 from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
                          _draws, _route, _System)
-from podd.rates import RateInputs, arrival_rate_closed
+from podd.rates import arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()
@@ -288,7 +288,8 @@ class TestRateLink:
             k = lengths[0]
             pi_k = sum(1 for v in lengths if v >= k)
             pi_k1 = sum(1 for v in lengths if v >= k + 1)
-            rate = float(arrival_rate_closed(RateInputs(n, d, lam, pi_k, pi_k1)))
+            p, q = arrival_rate_closed(n, d, pi_k, pi_k1)
+            rate = lam * (p / q)
             integrated += rate * (t - t_prev)
             t_prev = t
             if kind == "A":

@@ -10,10 +10,6 @@ import pytest
 
 import podd
 
-# names that perfbench/spans.py patches on podd.cli to count kernel calls
-ALLOWED = {("cli.py", "arrival_rate_closed"), ("cli.py", "arrival_rate_hyper"),
-           ("cli.py", "arrival_rate_plus_one")}
-
 MODULES = sorted(p for p in Path(podd.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -37,6 +33,5 @@ def test_guard_flags_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
-    unused = {n for n in unused_imports(path.read_text())
-              if (path.name, n) not in ALLOWED}
+    unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"

@@ -120,7 +120,7 @@ def _coupled_lifo_d1():
     return run_coupled(5, 1, 0.6, ERL4, LIFO_PR, all_at_2(5, ERL4, 5), 20.0,
                        RngStream(46).child("pair"),
                        sample_times=np.linspace(0.0, 20.0, 9),
-                       enable=("yellow", "blue"), record_events=True)
+                       record_events=True)
 
 
 def _coupled_d2_fifo_exp():

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podd.rates import (BoundInputs, RELATIONS, RateInputs,
-                        adjusted_plus_one_inputs, arrival_rate_closed,
+from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         arrival_rate_hyper, arrival_rate_plus_one,
                         asymptotic_tail, cavity_rate, chaos_bound,
                         chaos_bound_limit, clan_growth_factor,
@@ -18,6 +17,11 @@ from podd.rates import (BoundInputs, RELATIONS, RateInputs,
                         uniform_rate_bound)
 
 HALF = Fraction(1, 2)
+
+
+def rate(kernel, lam, *args):
+    """The rate lam * P / Q of a kernel's (P, Q)."""
+    return lam * Fraction(*kernel(*args))
 
 
 class TestSelectionSum:
@@ -48,87 +52,76 @@ class TestArrivalRate:
     def test_everyone_at_level(self):
         # all servers hold at least k jobs, none above: per-server rate is lam
         for d in (1, 2, 3, 5):
-            inp = RateInputs(8, d, HALF, 8, 0)
-            assert arrival_rate_hyper(inp) == HALF
-            assert arrival_rate_closed(inp) == HALF
+            assert rate(arrival_rate_hyper, HALF, 8, d, 8, 0) == HALF
+            assert rate(arrival_rate_closed, HALF, 8, d, 8, 0) == HALF
 
     def test_d2_closed_form(self):
         # lam/(N-1) * (pi_k + pi_{k+1} - 1)
-        inp = RateInputs(10, 2, 0.5, 6, 3)
-        assert math.isclose(arrival_rate_hyper(inp), 4 / 9, rel_tol=1e-12)
-        assert math.isclose(arrival_rate_closed(inp), 4 / 9, rel_tol=1e-12)
+        for kernel in (arrival_rate_hyper, arrival_rate_closed):
+            assert math.isclose(rate(kernel, 0.5, 10, 2, 6, 3), 4 / 9,
+                                rel_tol=1e-12)
 
     def test_enumeration_value(self):
         # N=5, D=2, pi=(3,1): direct pair enumeration gives 3/4 at lam -> 1;
         # here with lam = 1/2 the exact value is 3/8
-        inp = RateInputs(5, 2, HALF, 3, 1)
-        assert arrival_rate_closed(inp) == Fraction(3, 8)
+        assert rate(arrival_rate_closed, HALF, 5, 2, 3, 1) == Fraction(3, 8)
 
     def test_lone_server_no_rate_without_ties(self):
         # only the tagged server sits at >= k and D > pi_k: sampling can
         # never make it the shortest candidate
-        inp = RateInputs(5, 2, HALF, 1, 0)
-        assert arrival_rate_closed(inp) == 0
+        assert rate(arrival_rate_closed, HALF, 5, 2, 1, 0) == 0
 
     def test_exact_identity_small_grid(self):
         for n in range(2, 21):
             for d in range(1, min(6, n - 1) + 1):
                 for pi_k in range(1, n + 1):
                     for pi_k1 in range(pi_k):
-                        inp = RateInputs(n, d, HALF, pi_k, pi_k1)
-                        assert arrival_rate_hyper(inp) == arrival_rate_closed(inp)
+                        args = (n, d, pi_k, pi_k1)
+                        assert (rate(arrival_rate_hyper, HALF, *args)
+                                == rate(arrival_rate_closed, HALF, *args))
 
     def test_selection_sum_form_agrees(self):
         # lam*N*(N-D)!/N! * S^D(pi_{k+1}, pi_k) when pi_{k+1} >= D
         for n, d, pk, pk1 in [(10, 2, 7, 4), (12, 3, 9, 5), (9, 4, 8, 6)]:
-            inp = RateInputs(n, d, HALF, pk, pk1)
             via_sum = (HALF * n * selection_sum(d, pk1, pk)
                        * Fraction(factorial(n - d), factorial(n)))
-            assert arrival_rate_closed(inp) == via_sum
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateInputs(10, 2, 1.0, 5, 2)       # load not < 1
-        with pytest.raises(ValueError):
-            RateInputs(10, 2, 0.5, 3, 3)       # needs pi_k1 < pi_k
-        with pytest.raises(ValueError):
-            RateInputs(10, 11, 0.5, 5, 2)      # d > n
+            assert rate(arrival_rate_closed, HALF, n, d, pk, pk1) == via_sum
 
 
 class TestUniformBound:
     def test_values(self):
-        assert uniform_rate_bound(1, HALF) == HALF
-        assert uniform_rate_bound(2, Fraction(1)) == 4
-        assert uniform_rate_bound(3, Fraction(1)) == Fraction(27, 2)
+        assert rate(uniform_rate_bound, HALF, 1) == HALF
+        assert uniform_rate_bound(2) == (4, 1)
+        assert uniform_rate_bound(3) == (27, 2)
 
     @given(st.integers(2, 25), st.integers(1, 5))
     @settings(max_examples=60)
     def test_dominates_rate(self, n, d):
         d = min(d, n)
-        cap = uniform_rate_bound(d, HALF)
+        cap = rate(uniform_rate_bound, HALF, d)
         for pi_k in range(1, n + 1):
             for pi_k1 in range(pi_k):
-                assert arrival_rate_closed(RateInputs(n, d, HALF, pi_k, pi_k1)) <= cap
+                assert rate(arrival_rate_closed, HALF, n, d, pi_k, pi_k1) <= cap
 
 
 class TestPlusOneRate:
     def test_worked_example_above(self):
-        inp = RateInputs(5, 2, HALF, 3, 1)
         # at lam -> 1 the three relations give 1.0 / 0.8 / 0.6; scaled by 1/2
-        assert arrival_rate_plus_one(inp, "above") == Fraction(1, 2)
-        assert arrival_rate_plus_one(inp, "equal") == Fraction(2, 5)
-        assert arrival_rate_plus_one(inp, "below") == Fraction(3, 10)
+        for rel, want in [("above", Fraction(1, 2)), ("equal", Fraction(2, 5)),
+                          ("below", Fraction(3, 10))]:
+            assert rate(arrival_rate_plus_one, HALF, 5, 2, 3, 1, rel) == want
 
     def test_consistency_with_closed_at_n_plus_one(self):
         for n in range(2, 25):
             for d in range(1, min(5, n) + 1):
                 for pi_k in range(1, n + 1):
                     for pi_k1 in range(pi_k):
-                        inp = RateInputs(n, d, HALF, pi_k, pi_k1)
-                        for rel in RELATIONS:
-                            adj = adjusted_plus_one_inputs(inp, rel)
-                            assert (arrival_rate_plus_one(inp, rel)
-                                    == arrival_rate_closed(adj)), (n, d, pi_k, pi_k1, rel)
+                        for rel, (up_k, up_k1) in PLUS_ONE_SHIFT.items():
+                            assert (rate(arrival_rate_plus_one, HALF,
+                                         n, d, pi_k, pi_k1, rel)
+                                    == rate(arrival_rate_closed, HALF, n + 1, d,
+                                            pi_k + up_k, pi_k1 + up_k1)), \
+                                (n, d, pi_k, pi_k1, rel)
 
     def test_stream_rate_identity(self):
         # shared + private-large stream rates total lam*(N+1)
@@ -136,19 +129,19 @@ class TestPlusOneRate:
         assert lam * n - (d - 1) * lam + lam * d == lam * (n + 1)
 
     def test_above_monotone(self):
-        inp = RateInputs(10, 2, HALF, 6, 5)
-        assert arrival_rate_plus_one(inp, "above") >= arrival_rate_closed(inp)
+        assert (rate(arrival_rate_plus_one, HALF, 10, 2, 6, 5, "above")
+                >= rate(arrival_rate_closed, HALF, 10, 2, 6, 5))
 
     def test_equal_can_decrease(self):
         # documented counterexample: the added server dilutes the sampling
         # pool faster than the extra stream compensates
-        inp = RateInputs(10, 2, HALF, 6, 5)
-        assert arrival_rate_closed(inp) == Fraction(5, 9)
-        assert arrival_rate_plus_one(inp, "equal") == Fraction(11, 20)
+        assert rate(arrival_rate_closed, HALF, 10, 2, 6, 5) == Fraction(5, 9)
+        assert (rate(arrival_rate_plus_one, HALF, 10, 2, 6, 5, "equal")
+                == Fraction(11, 20))
 
     def test_bad_relation(self):
         with pytest.raises(ValueError):
-            arrival_rate_plus_one(RateInputs(5, 2, 0.5, 3, 1), "sideways")
+            arrival_rate_plus_one(5, 2, 3, 1, "sideways")
 
 
 def brute_force_rate(lengths, tagged, d, lam):
@@ -185,14 +178,14 @@ class TestBruteForceOracle:
             for d in range(1, n + 1):
                 for pi_k in range(1, n + 1):
                     for pi_k1 in range(pi_k):
-                        inp = RateInputs(n, d, HALF, pi_k, pi_k1)
+                        args = (n, d, pi_k, pi_k1)
                         lengths = occupancy_lengths(n, pi_k, pi_k1)
                         want = brute_force_rate(lengths, 0, d, HALF)
-                        assert arrival_rate_closed(inp) == want, (n, d, pi_k, pi_k1)
+                        assert rate(arrival_rate_closed, HALF, *args) == want, args
                         for rel, extra in self.EXTRA_LENGTH.items():
                             want = brute_force_rate(lengths + [extra], 0, d, HALF)
-                            assert arrival_rate_plus_one(inp, rel) == want, \
-                                (n, d, pi_k, pi_k1, rel)
+                            assert (rate(arrival_rate_plus_one, HALF, *args, rel)
+                                    == want), (*args, rel)
                         checked += 1
         assert checked == sum(n * n * (n + 1) // 2 for n in range(2, 8))
 

@@ -2,7 +2,9 @@
 and reads the initial configuration a run was given.  This checks that every
 name it patches still exists and that a traced run still works, so a rename in
 `src/podd/` cannot break `perfbench/run.py --trace 1` unnoticed."""
+import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import podd.cli
@@ -32,3 +34,21 @@ def test_tracer_installs_and_restores():
     assert tracer.counts["engine.arrivals"] == log.n_arrivals
     assert tracer.counts["engine.departures"] == (
         log.n_arrivals + 3 - int(traj.final_lengths.sum()))
+
+
+def test_tracer_counts_rate_kernels(tmp_path):
+    # a rates-check row calls the closed and hypergeometric forms once each,
+    # and the (N+1)-system form and the closed form at N+1 once per relation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "rates-check", "N": [4, 6], "D": [1, 3],
+                               "lambda": [0.5], "seed": 1}))
+    out = tmp_path / "rc"
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        assert podd.cli.main(["rates-check", "--config", str(cfg),
+                              "--out", str(out)]) == 0
+    with open(out / "rates_check.csv") as fh:
+        rows = sum(1 for _ in csv.DictReader(fh))
+    assert rows == 2 * (10 + 21)
+    assert tracer.stats["rates.kernel"].calls == 8 * rows
+    assert tracer.counts["rates.cells"] == rows
