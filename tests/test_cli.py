@@ -500,6 +500,15 @@ class TestPinnedDigests:
           "eccf0a90fab2ee1050c17c2ac8d671ecf897cbef7fde6b0659ad0fef36728a32",
           "events.csv":
           "df4359a7e364df258ac8e1437eb95b6e372b8726ab61bd951c5047cd330e87c7"}),
+        # D = 1: each events.csv zeta field is one server, with no "|"
+        ("simulate-d1",
+         {"kind": "simulate", "N": [5], "D": [1], "lambda": [0.7],
+          "horizon": 150.0, "replications": 2, "seed": 37,
+          "record_events": True},
+         {"trajectory.csv":
+          "95647d7600963ae49638dc81f8617014049477c59384035646aa439699b50469",
+          "events.csv":
+          "7d6bca1a36f0c5fe4cf9b4edfc7a127985203429c9e9dd5a07272d1536c06aa6"}),
         ("stationary-ps",
          {"kind": "stationary", "N": [50], "D": [2], "lambda": [0.9],
           "horizon": 100.0, "warmup": 10.0, "k_max": 6, "seed": 24,
