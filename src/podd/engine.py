@@ -8,6 +8,7 @@ discipline on exact residual work; there is no time discretization anywhere.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -125,16 +126,18 @@ class _System:
 
     `_System(n, discipline, queues)` builds that discipline's kernel:
     `_Fifo`, `_Ps` or `_LifoPr`, holding copies of `queues`' residual lists
-    (n of them; all empty when `queues` is None) at time 0.  Each server
-    holds its jobs' residual work as a list of Python floats in arrival
-    order, advanced to time `last[s]`; `arrive` rejects a residual that is
-    not positive.  The departure heap holds (time, server, version) entries,
-    and per-server version counters drop schedules invalidated by preemption
-    or share changes.  A server's versions rise with each push, so on a tie
-    in time and server the older entry goes first.
+    (n of them; all empty when `queues` is None) at time 0.  `arrive`
+    rejects a residual that is not positive.  The departure heap holds
+    (time, server, version) entries; a server's version rises with each
+    push, so an entry whose version is not the server's current one is a
+    schedule made stale by preemption or a share change, and on a tie in
+    time and server the older entry goes first.  Every kernel leaves a live
+    entry on top of the heap after each `arrive` and `depart`, so its top
+    is the next departure and `depart` pops it once.
     """
 
     __slots__ = ("lengths", "jobs", "last", "ver", "heap")
+    _queue = list    # a server's job list, from its initial residuals
 
     def __new__(cls, n, discipline: Discipline, queues=None):
         return object.__new__(_KERNELS[discipline.kind])
@@ -143,7 +146,8 @@ class _System:
         self.last = [0.0] * n
         self.ver = [0] * n
         self.heap = []
-        self.jobs = list(map(list, [()] * n if queues is None else queues))
+        self.jobs = list(map(self._queue,
+                             [()] * n if queues is None else queues))
         self.lengths = list(map(len, self.jobs))
         for s in compress(range(n), self.lengths):
             self._schedule(s, 0.0)
@@ -180,48 +184,55 @@ class _Fifo(_System):
 
 
 class _Ps(_System):
-    """All jobs on a server share it equally; its residuals are advanced
-    whenever the share changes."""
+    """All jobs on a server share it equally, kept on a virtual clock
+    (Parekh & Gallager 1993): `vt[s]` is the service each job on server s
+    has had by time `last[s]`, and its jobs are held as sorted finish tags,
+    the clock at arrival plus the job's work.  The smallest tag leaves
+    first, after n * (tag - vt) of real time with n jobs present.  The clock
+    is reset when the server empties, so it never exceeds one busy period's
+    service."""
 
-    __slots__ = ()
+    __slots__ = ("vt",)
+    _queue = sorted  # at time 0 the clock is 0, so the tags are the residuals
+
+    def __init__(self, n, discipline, queues=None):
+        self.vt = [0.0] * n
+        _System.__init__(self, n, discipline, queues)
 
     def _schedule(self, s, t):
         js = self.jobs[s]
         if js:
-            due = len(js) * min(js)
+            due = len(js) * (js[0] - self.vt[s])
             heappush(self.heap,
-                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
+                     (t + due if due > 0.0 else t, s, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
             raise ValueError("job residual must be positive")
-        js = self.jobs[s]
-        dt = t - self.last[s]
+        js, vt = self.jobs[s], self.vt
+        if js:
+            vt[s] += (t - self.last[s]) / len(js)
         self.last[s] = t
-        if dt > 0.0 and js:
-            dec = dt / len(js)
-            self.jobs[s] = js = [r - dec for r in js]
-        js.append(residual)
+        insort(js, vt[s] + residual)
         self.lengths[s] += 1
         self.ver[s] += 1
         self._schedule(s, t)
+        heap, ver = self.heap, self.ver
+        while heap[0][2] != ver[heap[0][1]]:
+            heappop(heap)    # the server's last schedule, and any under it
 
     def depart(self):
         heap, ver = self.heap, self.ver
-        while True:
-            t, s, v = heappop(heap)
-            if v == ver[s]:
-                break
+        t, s, _ = heappop(heap)
         js = self.jobs[s]
-        dt = t - self.last[s]
         self.last[s] = t
-        if dt > 0.0:
-            dec = dt / len(js)
-            self.jobs[s] = js = [r - dec for r in js]
-        js.pop(js.index(min(js)))
+        tag = js.pop(0)
+        self.vt[s] = tag if js else 0.0    # the clock resets when s empties
         self.lengths[s] -= 1
         ver[s] += 1
         self._schedule(s, t)
+        while heap and heap[0][2] != ver[heap[0][1]]:
+            heappop(heap)
         return t, s
 
 
@@ -248,20 +259,22 @@ class _LifoPr(_System):
             js[-1] -= dt
         js.append(residual)
         self.lengths[s] += 1
-        self.ver[s] = v = self.ver[s] + 1
-        heappush(self.heap, (t + residual, s, v))
+        heap, ver = self.heap, self.ver
+        ver[s] = v = ver[s] + 1
+        heappush(heap, (t + residual, s, v))
+        while heap[0][2] != ver[heap[0][1]]:
+            heappop(heap)    # the preempted job's schedule, and any under it
 
     def depart(self):
         heap, ver = self.heap, self.ver
-        while True:
-            t, s, v = heappop(heap)
-            if v == ver[s]:
-                break
+        t, s, _ = heappop(heap)
         self.last[s] = t
         self.jobs[s].pop()     # the job in service, done at t
         self.lengths[s] -= 1
         ver[s] += 1
         self._schedule(s, t)
+        while heap and heap[0][2] != ver[heap[0][1]]:
+            heappop(heap)
         return t, s
 
 
@@ -301,7 +314,7 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     if samples and (samples[0] < 0.0 or samples[-1] > horizon):
         raise ValueError("sample times must lie in [0, horizon]")
 
-    depart, heap, ver = sysm.depart, sysm.heap, sysm.ver
+    depart, heap = sysm.depart, sysm.heap
     lengths = sysm.lengths
     kept = [(lo, hi, [], []) for lo, hi in views]
     emitted = []
@@ -311,8 +324,6 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     next_arr = enext() / rate if rate > 0 else math.inf
 
     while True:
-        while heap and heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)    # a schedule made stale by preemption or sharing
         next_dep = heap[0][0] if heap else math.inf
         nxt = next_arr if next_arr < next_dep else next_dep
         cutoff = nxt if nxt < end else end

@@ -5,12 +5,17 @@ import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution, tail_counts_from_lengths)
+from heapq import heappop, heappush
+
+from podd import engine
 from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
                          _draws, _route, _System)
 from podd.rates import arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()
+ERL4 = ServiceDistribution.erlang(4)
+HYP = ServiceDistribution.hyperexponential_cv2(4.0)
 
 
 def config_from_lengths(lengths, seed=0):
@@ -120,10 +125,131 @@ class TestDepartureTiming:
         assert times == pytest.approx([0.9, 1.5])
         assert live == []
 
+    def test_ps_three_staggered_arrivals(self):
+        # A (1.0) at 0; B (0.75) at 0.5, when A has 0.5 left; C (0.25) at
+        # 0.75, when A has 0.375 and B 0.625 left.  Shared three ways, C
+        # ends at 0.75 + 3 * 0.25 = 1.5 with A at 0.125 and B at 0.375; A
+        # then ends at 1.5 + 2 * 0.125 = 1.75, and B alone at 2.0.  Every
+        # value is dyadic, so the times are exact.
+        s = _System(1, PS)
+        s.arrive(0, 0.0, 1.0)
+        s.arrive(0, 0.5, 0.75)
+        s.arrive(0, 0.75, 0.25)
+        assert [s.depart() for _ in range(3)] == [(1.5, 0), (1.75, 0),
+                                                  (2.0, 0)]
+        assert s.vt == [0.0] and s.heap == []   # the clock reset when empty
+
     def test_nonpositive_residual_rejected(self):
         for residual in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive"):
                 _System(1, FIFO).arrive(0, 0.0, residual)
+
+
+class _ResidualPs(_System):
+    """Reference PS kernel: every job's residual is advanced by dt / n
+    whenever the share changes, and the next departure is the least residual
+    times n.  It drops stale heap entries off the top, as every kernel must
+    for `_drive`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args):
+        return object.__new__(cls)
+
+    def _schedule(self, s, t):
+        js = self.jobs[s]
+        if js:
+            due = len(js) * min(js)
+            heappush(self.heap,
+                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
+
+    def _advance(self, s, t):
+        js = self.jobs[s]
+        dt = t - self.last[s]
+        self.last[s] = t
+        if dt > 0.0 and js:
+            dec = dt / len(js)
+            self.jobs[s] = js = [r - dec for r in js]
+        return js
+
+    def _drop_stale(self):
+        heap, ver = self.heap, self.ver
+        while heap and heap[0][2] != ver[heap[0][1]]:
+            heappop(heap)
+
+    def arrive(self, s, t, residual):
+        self._advance(s, t).append(residual)
+        self.lengths[s] += 1
+        self.ver[s] += 1
+        self._schedule(s, t)
+        self._drop_stale()
+
+    def depart(self):
+        t, s, _ = heappop(self.heap)
+        js = self._advance(s, t)
+        js.pop(js.index(min(js)))
+        self.lengths[s] -= 1
+        self.ver[s] += 1
+        self._schedule(s, t)
+        self._drop_stale()
+        return t, s
+
+
+class TestPsClock:
+    """The virtual-clock PS kernel against the residual-rewriting one."""
+
+    @pytest.mark.parametrize("n,d,lam,dist,loaded,seed", [
+        (1, 1, 0.9, EXP, False, 1),
+        (5, 2, 0.9, HYP, False, 2),
+        (12, 3, 0.8, ERL4, True, 3),
+        (30, 2, 0.95, HYP, True, 4),
+        (8, 8, 0.7, DET, True, 5),
+    ])
+    def test_departures_match_reference(self, monkeypatch, n, d, lam, dist,
+                                        loaded, seed):
+        if loaded:
+            gen = RngStream(seed).child("lengths").generator()
+            lengths = (gen.geometric(1.0 - lam, size=n) - 1).tolist()
+            init = Configuration.from_lengths(lengths, dist,
+                                              RngStream(seed).child("init"))
+        else:
+            init = Configuration.empty(n)
+
+        def departures():
+            _, log = run(n, d, lam, dist, PS, init, 200.0, [],
+                         RngStream(seed).child("run"), record_events=False,
+                         record_departures=True)
+            return log.departures
+
+        got = departures()
+        monkeypatch.setitem(engine._KERNELS, "PS", _ResidualPs)
+        want = departures()
+        assert len(got) == len(want) > 100
+        assert [s for _, s in got] == [s for _, s in want]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) < 1e-12
+
+
+class TestLiveHeapTop:
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR])
+    def test_top_is_live_after_every_event(self, disc):
+        # `_drive` reads the heap top as the next departure without a check
+        gen = RngStream(9).child(disc.kind).generator()
+        lengths = [2, 0, 3, 1]
+        sysm = _System(4, disc, config_from_lengths(lengths, 9).queues)
+        t = 0.0
+        for _ in range(400):
+            t += gen.exponential(0.3)
+            while sysm.heap and sysm.heap[0][0] <= t:
+                sysm.depart()
+                self._check(sysm)
+            sysm.arrive(int(gen.integers(4)), t, gen.exponential())
+            self._check(sysm)
+
+    @staticmethod
+    def _check(sysm):
+        if sysm.heap:
+            _, s, v = sysm.heap[0]
+            assert v == sysm.ver[s] and sysm.lengths[s] > 0
 
 
 class TestRun:
