@@ -138,7 +138,7 @@ def _cavity_stationary():
 CASES = {
     "run-ps-erlang-geometric":
         (_run_ps_erlang,
-         "31eb3251157c3fa8d1674c57ec2dc04512b072f04bef560d072a360ad6b90d2a"),
+         "dd830794d32c1c0408b678f927a269176d31412a09db9e50bb65b54b7616eabc"),
     "run-fifo-det-all-at-2":
         (_run_fifo_det,
          "5daa4827527f53a801f553fdbe3c3b5bfee641ec832d72b6c61c25f6daef8af6"),
@@ -147,7 +147,7 @@ CASES = {
          "32bc58c616078c5bc56a8a43126acf745d7573ddbc9f56c59f31bbf636020f3c"),
     "run-d2-ps-hyperexp-geometric":
         (_run_d2_ps_hyperexp,
-         "8d44bf8b6f5fe805d386b6c9d69013fde9befc88c23c6c9289fa68b213a2d6d4"),
+         "64f0e6a09ceedee34bb34bb45b380ffef81ecccf12df1ce9320d3466a9302aaf"),
     "run-d2-lifo-erlang-all-at-2":
         (_run_d2_lifo_erlang,
          "d3120b7cbe4681ad530ebaa9c513d5d26cd6871808a27d81d30d2ad3e9cbb1a7"),
