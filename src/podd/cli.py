@@ -456,16 +456,19 @@ def _run_simulate(spec, out_dir, pool):
                  for ((n, d, lam), r), (traj, _) in zip(meta, results)
                  for tv, tc in zip(traj.times, traj.snapshots)
                  for k, pik in enumerate(tc.pi))
-    # event times are Python floats, so repr is what _fmt writes
-    event_rows = ([r, repr(ev.time), "A", ev.routed_to,
-                   "|".join(map(str, ev.zeta))]
-                  for (_, r), (_, log) in zip(meta, results)
-                  for ev in log.arrivals)
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["rep", "N", "D", "lambda", "t", "k", "pi_k"], traj_rows)
     if spec.record_events:
-        _write_csv(os.path.join(out_dir, "events.csv"),
-                   ["rep", "time", "kind", "server", "zeta"], event_rows)
+        # No field needs quoting, so one format string per replication
+        # writes what csv.writer would; event times are Python floats, so
+        # %r is what _fmt writes.
+        with open(os.path.join(out_dir, "events.csv"), "w",
+                  newline="") as fh:
+            fh.write("rep,time,kind,server,zeta\r\n")
+            for ((_, d, _), r), (_, log) in zip(meta, results):
+                row = f"{r},%r,A,%d,{'|'.join(['%d'] * d)}\r\n"
+                fh.write("".join([row % (ev.time, ev.routed_to, *ev.zeta)
+                                  for ev in log.arrivals]))
     return 0
 
 
