@@ -29,3 +29,18 @@ def test_wins_follow_direction_and_ties_do_not_count():
     parent, change = [1.0, 2.0, 3.0], [0.5, 2.0, 3.5]
     assert bench_pairs.summarise(parent, change, "lower")["change_wins"] == 1
     assert bench_pairs.summarise(parent, change, "higher")["change_wins"] == 1
+
+
+def test_per_pair_ratio():
+    # a load swing across the last two pairs moves both sides' medians, but
+    # each pair's ratio stays 0.8
+    parent = [1.0, 1.0, 1.0, 2.0, 2.0]
+    change = [0.8, 0.8, 0.8, 1.6, 1.6]
+    s = bench_pairs.summarise(parent, change, "lower")
+    assert s["ratio_median"] == 0.8
+    assert s["ratio_quartiles"] == [0.8, 0.8]
+    s = bench_pairs.summarise([2.0, 4.0, 0.0], [1.0, 5.0, 3.0], "lower")
+    assert s["ratio_median"] == 0.875       # the pair with parent 0 is left out
+    assert s["ratio_quartiles"] == [0.6875, 1.0625]
+    s = bench_pairs.summarise([0.0], [1.0], "lower")
+    assert s["ratio_median"] is None and s["ratio_quartiles"] == [None, None]

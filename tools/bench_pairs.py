@@ -5,8 +5,11 @@ sides run from committed files only.  For every seed of a workload, the pair
 runs `perfbench/run.py --trace 0` once on each side; odd seeds run the parent
 first and even seeds the change first, so drift in the host's load falls on
 both sides alike.  Per metric the summary holds both sides' runs and medians,
-the distance between the quartiles of the parent's runs, and how many pairs
-the change won.
+the distance between the quartiles of the parent's runs, how many pairs
+the change won, and the median and quartiles of the per-pair ratio
+change/parent.  The ratio compares two runs made back to back, so a swing
+in the host's load that spans several pairs moves both sides' medians but
+not the ratio.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \\
         exact=801-810 long-run=811-820 many-reps=821-830
@@ -101,21 +104,31 @@ def digests(copy: Path, workload: str, seeds) -> dict:
     return json.loads(proc.stdout)
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile) of a non-empty list."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summarise(parent_runs, change_runs, better: str) -> dict:
-    """Medians of both sides, the parent's interquartile distance and the
-    number of pairs in which the change was better."""
+    """Medians of both sides, the parent's interquartile distance, the
+    number of pairs in which the change was better, and the quartiles of
+    change/parent over the pairs whose parent value is not 0."""
     if better == "lower":
         wins = sum(c < p for p, c in zip(parent_runs, change_runs))
     else:
         wins = sum(c > p for p, c in zip(parent_runs, change_runs))
-    if len(parent_runs) > 1:
-        q1, _, q3 = statistics.quantiles(parent_runs, n=4, method="inclusive")
-    else:
-        q1 = q3 = parent_runs[0]
+    q1, _, q3 = quartiles(parent_runs)
+    ratios = [c / p for p, c in zip(parent_runs, change_runs) if p]
+    r1, r2, r3 = ([round(v, 4) for v in quartiles(ratios)] if ratios
+                  else [None] * 3)
     return {"parent_median": round(statistics.median(parent_runs), 4),
             "change_median": round(statistics.median(change_runs), 4),
             "change_wins": wins,
             "parent_iqr": round(q3 - q1, 4),
+            "ratio_median": r2,
+            "ratio_quartiles": [r1, r3],
             "parent_runs": [round(v, 4) for v in parent_runs],
             "change_runs": [round(v, 4) for v in change_runs]}
 
@@ -177,7 +190,9 @@ def main(argv=None) -> int:
                         "(odd seed: parent first)",
                "medians": "median over runs of each run's reported value; "
                           "parent_iqr is the distance between the quartiles "
-                          "of the parent's runs",
+                          "of the parent's runs; ratio_median and "
+                          "ratio_quartiles are the median and the first and "
+                          "third quartiles of change/parent over the pairs",
                "workloads": {}}
         for workload, seeds in plan:
             out["workloads"][workload] = run_workload(
