@@ -210,14 +210,17 @@ class _Ps(_System):
         if residual <= 0:
             raise ValueError("job residual must be positive")
         js, vt = self.jobs[s], self.vt
-        if js:
-            vt[s] += (t - self.last[s]) / len(js)
+        n = len(js)
+        if n:
+            vt[s] += (t - self.last[s]) / n
         self.last[s] = t
-        insort(js, vt[s] + residual)
-        self.lengths[s] += 1
-        self.ver[s] += 1
-        self._schedule(s, t)
+        v = vt[s]
+        insort(js, v + residual)
+        self.lengths[s] = n = n + 1
         heap, ver = self.heap, self.ver
+        ver[s] = k = ver[s] + 1
+        due = n * (js[0] - v)
+        heappush(heap, (t + due if due > 0.0 else t, s, k))
         while heap[0][2] != ver[heap[0][1]]:
             heappop(heap)    # the server's last schedule, and any under it
 
@@ -227,10 +230,14 @@ class _Ps(_System):
         js = self.jobs[s]
         self.last[s] = t
         tag = js.pop(0)
-        self.vt[s] = tag if js else 0.0    # the clock resets when s empties
-        self.lengths[s] -= 1
-        ver[s] += 1
-        self._schedule(s, t)
+        self.lengths[s] = n = len(js)
+        ver[s] = k = ver[s] + 1
+        if n:
+            self.vt[s] = tag
+            due = n * (js[0] - tag)
+            heappush(heap, (t + due if due > 0.0 else t, s, k))
+        else:
+            self.vt[s] = 0.0    # the clock resets when the server empties
         while heap and heap[0][2] != ver[heap[0][1]]:
             heappop(heap)
         return t, s
@@ -269,10 +276,13 @@ class _LifoPr(_System):
         heap, ver = self.heap, self.ver
         t, s, _ = heappop(heap)
         self.last[s] = t
-        self.jobs[s].pop()     # the job in service, done at t
+        js = self.jobs[s]
+        js.pop()     # the job in service, done at t
         self.lengths[s] -= 1
-        ver[s] += 1
-        self._schedule(s, t)
+        ver[s] = k = ver[s] + 1
+        if js:
+            due = js[-1]
+            heappush(heap, (t + due if due > 0.0 else t, s, k))
         while heap and heap[0][2] != ver[heap[0][1]]:
             heappop(heap)
         return t, s
@@ -316,18 +326,19 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
 
     depart, heap = sysm.depart, sysm.heap
     lengths = sysm.lengths
+    inf = math.inf
     kept = [(lo, hi, [], []) for lo, hi in views]
     emitted = []
-    end = math.nextafter(horizon, math.inf)   # samples < end are <= horizon
-    samples.append(math.inf)                  # a sentinel no cutoff exceeds
+    samples.append(inf)    # a sentinel no event time exceeds
     si, next_sample = 0, samples[0]
-    next_arr = enext() / rate if rate > 0 else math.inf
+    next_arr = enext() / rate if rate > 0 else inf
 
     while True:
-        next_dep = heap[0][0] if heap else math.inf
+        next_dep = heap[0][0] if heap else inf
         nxt = next_arr if next_arr < next_dep else next_dep
-        cutoff = nxt if nxt < end else end
-        while next_sample < cutoff:
+        # every sample is <= horizon, so once nxt passes the horizon all
+        # that are left are taken before the loop ends
+        while next_sample < nxt:
             for lo, hi, snaps, tagged in kept:
                 snaps.append(_snapshot(lengths[lo:hi]))
                 tagged.append(lengths[lo])
