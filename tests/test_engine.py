@@ -204,7 +204,8 @@ class TestPsClock:
         (12, 3, 0.8, ERL4, True, 3),
         (30, 2, 0.95, HYP, True, 4),
         (8, 8, 0.7, DET, True, 5),
-    ])
+    ], ids=["mm1-empty", "n5-hyperexp-empty", "n12-erlang4-loaded",
+            "n30-hyperexp-loaded", "n8-d8-det-loaded"])
     def test_departures_match_reference(self, monkeypatch, n, d, lam, dist,
                                         loaded, seed):
         if loaded:
@@ -230,7 +231,8 @@ class TestPsClock:
 
 
 class TestLiveHeapTop:
-    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR])
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
+                             ids=lambda disc: disc.kind)
     def test_top_is_live_after_every_event(self, disc):
         # `_drive` reads the heap top as the next departure without a check
         gen = RngStream(9).child(disc.kind).generator()
