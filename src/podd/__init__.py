@@ -1,5 +1,13 @@
 """podd: discrete-event laboratory for power-of-D load balancing."""
 
+import os
+
+# One BLAS thread per process, set before numpy loads OpenBLAS: its pthreads
+# build starts a thread per extra core at load time, and those threads spin.
+# podd runs its replications in `--workers` processes and calls BLAS only in
+# `fit_exp_decay`'s two-column fit.  A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .core import (Configuration, Discipline, FIFO, LIFO_PR, PS, RngStream,

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -612,6 +613,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> int:
         "seed": spec.seed,
         "wall_time_s": round(time.monotonic() - start, 3),
         "exit_code": code,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -635,7 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, "
+                     f"got {args.workers}")
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -649,7 +657,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    return run_experiment(spec, args.out, max(1, args.workers))
+    return run_experiment(spec, args.out, args.workers)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import podd.cli
@@ -182,6 +184,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 0
 
+    # --workers 0 and -3 ran at one worker
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_2(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, MINIMAL_BOUNDS)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--config", cfg, "--out", str(out),
+                  "--workers", workers])
+        assert exit_info.value.code == 2
+        assert (f"argument --workers: must be at least 1, got {int(workers)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -326,6 +341,17 @@ class TestManifest:
         assert parse_config(manifest["spec"]) == spec
         assert manifest["seed"] == 1
 
+    def test_records_what_the_run_ran_on(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL_BOUNDS)
+        out = tmp_path / "m"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert (manifest["openblas_num_threads"]
+                == os.environ.get("OPENBLAS_NUM_THREADS"))
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_BOUNDS)
         out = tmp_path / "m2"
@@ -383,6 +409,13 @@ class TestDeterminism:
         assert main(["simulate", "--config", cfg, "--out", str(b),
                      "--workers", "3"]) == 0
         assert read_all(a) == read_all(b)
+        manifests = []
+        for out in (a, b):
+            with open(out / "manifest.json") as fh:
+                manifest = json.load(fh)
+            del manifest["wall_time_s"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_one_pool_per_run(self, tmp_path, monkeypatch):
         # the cavity map and one map per N used to open a pool each
@@ -410,11 +443,45 @@ class TestDeterminism:
     def test_import_leaves_the_pool_out(self):
         code = ("import sys, podd.cli; "
                 "sys.exit('concurrent.futures' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(podd.cli.__file__).parent.parent),
-            os.environ.get("PYTHONPATH")]))}
         assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 0
+                              env=_podd_env()).returncode == 0
+
+
+def _podd_env(**extra):
+    """The environment of a fresh interpreter that imports this podd,
+    without OPENBLAS_NUM_THREADS (importing podd set it in this process)
+    unless given in extra."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(podd.cli.__file__).parent.parent),
+        os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+# In a fresh interpreter: the threads of the process after importing
+# podd.cli, and the OPENBLAS_NUM_THREADS it then reads
+_THREADS = ("import json, os, podd.cli; print(json.dumps("
+            "[len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+class TestOneThread:
+    def _threads(self, **extra):
+        proc = subprocess.run([sys.executable, "-c", _THREADS],
+                              env=_podd_env(**extra), capture_output=True,
+                              text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def test_import_starts_no_blas_thread(self):
+        # OpenBLAS started a spinning thread per extra core when numpy
+        # loaded it
+        assert self._threads() == [1, "1"]
+
+    def test_caller_setting_is_kept(self):
+        assert self._threads(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 class TestChaosCommand:
