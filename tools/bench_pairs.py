@@ -22,6 +22,10 @@ Optional steps, each run once per side:
                      metric is recorded for both sides.
   --digest-seeds S,T every CSV the workload's subcommands write at these
                      seeds, hashed with sha256 on both sides and compared.
+
+Interrupted by SIGINT or SIGTERM, the tool stops the run in progress
+(perfbench/run.py kills its podd processes on SIGINT) and removes its
+copies of the two commits.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -39,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 30.0
+# How long an interrupted child gets to stop after SIGINT before SIGKILL.
+STOP_S = 10.0
 
 # Run in a checkout: the sha256 of every CSV that the workload's configs
 # write at each seed, in process and at one worker.
@@ -68,6 +75,30 @@ def parse_seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def run_child(argv, cwd) -> subprocess.CompletedProcess:
+    """subprocess.run(argv, cwd=cwd, capture_output=True, text=True), except
+    that if this process is interrupted the child is sent SIGINT, so that
+    perfbench/run.py can kill its own podd process group, and is killed if
+    it has not exited STOP_S seconds later."""
+    proc = subprocess.Popen(argv, cwd=cwd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.communicate(timeout=STOP_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+        raise
+    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def unpack(rev: str, dest: Path) -> str:
     """Extract the tree of `rev` into dest; returns its short hash."""
     short = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
@@ -86,7 +117,7 @@ def bench(copy: Path, workload: str, seed: int, trace: int):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS),
             "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
+    proc = run_child(argv, copy)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{argv} in {copy} printed nothing:\n{proc.stderr}")
@@ -98,9 +129,9 @@ def bench(copy: Path, workload: str, seed: int, trace: int):
 
 
 def digests(copy: Path, workload: str, seeds) -> dict:
-    proc = subprocess.run([sys.executable, "-c", _DIGEST_SNIPPET, workload,
-                           *map(str, seeds)], cwd=copy, check=True,
-                          capture_output=True, text=True)
+    proc = run_child([sys.executable, "-c", _DIGEST_SNIPPET, workload,
+                      *map(str, seeds)], copy)
+    proc.check_returncode()
     return json.loads(proc.stdout)
 
 
@@ -221,4 +252,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM unwinds like SIGINT, so the copies are removed and the running
+    # child is stopped
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.exit(main())
