@@ -374,11 +374,17 @@ class TestManifest:
             out = tmp_path / name
             assert main(["simulate", "--config", cfg, "--out", str(out),
                          *extra]) == 0
-            with open(out / "manifest.json") as fh:
-                manifest = json.load(fh)
-            del manifest["wall_time_s"]
-            manifests.append(manifest)
+            manifests.append(untimed_manifest(out))
         assert manifests[0] == manifests[1]
+
+
+def untimed_manifest(out_dir):
+    """manifest.json without its wall time, the one field that varies
+    between runs of one config."""
+    with open(out_dir / "manifest.json") as fh:
+        manifest = json.load(fh)
+    del manifest["wall_time_s"]
+    return manifest
 
 
 def read_all(out_dir):
@@ -409,13 +415,7 @@ class TestDeterminism:
         assert main(["simulate", "--config", cfg, "--out", str(b),
                      "--workers", "3"]) == 0
         assert read_all(a) == read_all(b)
-        manifests = []
-        for out in (a, b):
-            with open(out / "manifest.json") as fh:
-                manifest = json.load(fh)
-            del manifest["wall_time_s"]
-            manifests.append(manifest)
-        assert manifests[0] == manifests[1]
+        assert untimed_manifest(a) == untimed_manifest(b)
 
     def test_one_pool_per_run(self, tmp_path, monkeypatch):
         # the cavity map and one map per N used to open a pool each
