@@ -18,8 +18,7 @@ from .rates import (BoundInputs, arrival_rate_closed,
                     chaos_bound_limit, clan_intersection_bound,
                     clan_size_bound, monotone_threshold, selection_sum,
                     tail_count_cov_bound, uniform_rate_bound)
-from .engine import (ArrivalEvent, EventLog, Trajectory, run,
-                     sample_arrival_log, snapshot)
+from .engine import ArrivalEvent, EventLog, Trajectory, run, snapshot
 from .ancestry import ClanStats, build_clan, clan_monte_carlo
 from .cavity import (CoupledPair, level_distribution, run_cavity, run_coupled,
                      tv_distance)

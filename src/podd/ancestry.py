@@ -1,10 +1,13 @@
 """Influence clans: which servers could have affected a given server's state.
 
-Scanning a realized arrival log backwards from the horizon, a clan starts as
-{i} and absorbs the whole sampled set of any arrival that touches it.  Clan
-size and the probability that two clans overlap control how fast pairs of
-servers decorrelate, so this module also ships a Monte Carlo driver to compare
-both quantities against their analytic ceilings.
+A clan depends only on the arrival process: the arrival times and the
+sampled D-sets, not on where the tasks went or how long they took.  Scanning
+an arrival log (the EventLog `engine.run` returns) backwards from the
+horizon, a clan starts as {i} and absorbs the whole sampled set of any
+arrival that touches it.  Clan size and the probability that two clans
+overlap control how fast pairs of servers decorrelate, so this module also
+ships a Monte Carlo driver, which draws only arrival counts and D-sets, to
+compare both quantities against their analytic ceilings.
 """
 from __future__ import annotations
 
@@ -30,16 +33,6 @@ class ClanStats:
     n_reps: int
 
 
-def _bits(indices) -> int:
-    """Bitmask of a set of server indices.  Each index is made a Python int
-    first: a shift by a numpy int64 stays a 64-bit int64, so
-    `1 << np.int64(s)` is 0 for every s >= 64."""
-    m = 0
-    for s in indices:
-        m |= 1 << int(s)
-    return m
-
-
 def build_clan(log: EventLog, i: int, t: float) -> frozenset:
     """Clan of server i over the last t time units of the log, as the set
     of its servers.
@@ -54,14 +47,13 @@ def build_clan(log: EventLog, i: int, t: float) -> frozenset:
     if not 0 <= i < log.N:
         raise ValueError("server index out of range")
     start = log.horizon - t
-    psi = 1 << i
+    clan = {i}
     for ev in reversed(log.arrivals):
         if ev.time < start:
             break
-        z = _bits(ev.zeta)
-        if psi & z:
-            psi |= z
-    return frozenset(s for s in range(log.N) if psi >> s & 1)
+        if not clan.isdisjoint(ev.zeta):
+            clan.update(ev.zeta)
+    return frozenset(clan)
 
 
 def _aggregate(sizes, hits, t_grid) -> ClanStats:

@@ -8,7 +8,6 @@ difference can be measured directly.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +91,22 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
                 record_events=False) -> CoupledPair:
     """Drive an N-server and an (N+1)-server system from three streams.
 
-    The shared stream (rate lam*(N-D+1)) feeds both systems with a common
-    sampled D-set from the first N servers; the private streams complete each
-    system's total arrival rate (rate lam*(D-1) for the small system, lam*D
-    for the large one, the latter always sampling the extra server).  Jobs
-    born of a shared arrival that lands on the same server index in both
-    systems also share their service requirement.  A shared arrival draws
-    one uniform u, and each system breaks a tie among its shortest sampled
-    queues by u (the tied server at index int(u * ties) in D-set order), so
-    where the sampled lengths agree both systems route alike.  Each system
-    alone still breaks ties with a fresh uniform per arrival: only the joint
-    law is coupled.
+    The shared (yellow) stream, of rate y = lam*(N-D+1), feeds both systems
+    with a common sampled D-set from the first N servers; the private
+    streams complete each system's total arrival rate (red, r = lam*(D-1),
+    for the small system; blue, b = lam*D, for the large one, always
+    sampling the extra server).  Together they are one Poisson stream of
+    rate T = y + r + b, and each of its arrivals picks its stream by one
+    uniform u against two thresholds: yellow if u <= y/T, red if
+    u <= y/T + r/T, blue otherwise.
+
+    Jobs born of a shared arrival that lands on the same server index in
+    both systems also share their service requirement.  A shared arrival
+    draws one more uniform u, and each system breaks a tie among its
+    shortest sampled queues by u (the tied server at index int(u * ties) in
+    D-set order), so where the sampled lengths agree both systems route
+    alike.  Each system alone still breaks ties with a fresh uniform per
+    arrival: only the joint law is coupled.
 
     Both systems live in one kernel of 2N+1 servers: 0..N-1 are the small
     system and N..2N the large one (server N+i is the large system's server
@@ -119,26 +123,32 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         sample_times = [horizon]
     gen = as_generator(rng)
 
-    rates = {"yellow": lam * (N - D + 1), "red": lam * (D - 1), "blue": lam * D}
-    active = [s for s in ("yellow", "red", "blue") if rates[s] > 0]
-    total = sum(rates[s] for s in active)
-    thresholds = np.cumsum([rates[s] / total for s in active]).tolist()
+    yellow, red, blue = lam * (N - D + 1), lam * (D - 1), lam * D
+    total = yellow + red + blue
+    to_yellow = yellow / total
+    to_red = to_yellow + red / total    # past it, the arrival is blue
 
     sysm = _System(2 * N + 1, disc, init.queues * 2 + [[]])
     enext, unext, snext = _buffers(gen, dist)
     draw, route = _candidates(gen, unext, N, D)
     arrive, lengths = sysm.arrive, sysm.lengths
 
+    def draw_blue():   # the extra server plus D-1 of the first N
+        rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
+        return rest + (N,)
+
     counts = {"yellow": 0, "red": 0, "blue": 0}
     hits = [0, 0]
     arr_small = [] if record_events else None
     arr_large = [] if record_events else None
+    # the private streams, red into the small system (side 0) and blue into
+    # the large one (side 1): name, D-set draw, server offset and log
+    private = (("red", draw, 0, arr_small), ("blue", draw_blue, N, arr_large))
 
     def on_arrival(t):
         u = unext()
-        stream = active[bisect_left(thresholds, u)] if len(active) > 1 else active[0]
-        counts[stream] += 1
-        if stream == "yellow":
+        if u <= to_yellow:
+            counts["yellow"] += 1
             zeta = draw()
             u = unext()
             tie = lambda: u   # the same tie-break in both systems
@@ -152,21 +162,16 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
             if record_events:
                 arr_small.append(ArrivalEvent(t, zeta, s_small))
                 arr_large.append(ArrivalEvent(t, zeta, s_large))
-        elif stream == "red":
-            zeta = draw()
-            s_small = route(lengths, zeta, unext)
-            arrive(s_small, t, snext())
-            hits[0] += s_small == 0
-            if record_events:
-                arr_small.append(ArrivalEvent(t, zeta, s_small))
-        else:  # blue: the extra server plus D-1 of the first N
-            rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
-            zeta = rest + (N,)
-            s_large = route(lengths, zeta, unext, N)
-            arrive(N + s_large, t, snext())
-            hits[1] += s_large == 0
-            if record_events:
-                arr_large.append(ArrivalEvent(t, zeta, s_large))
+            return
+        side = int(u > to_red)
+        stream, draw_set, off, arr = private[side]
+        counts[stream] += 1
+        zeta = draw_set()
+        s = route(lengths, zeta, unext, off)
+        arrive(off + s, t, snext())
+        hits[side] += s == 0
+        if record_events:
+            arr.append(ArrivalEvent(t, zeta, s))
 
     traj_s, traj_l = _drive(sysm, horizon, sample_times,
                             [(0, N), (N, 2 * N + 1)], total, enext, on_arrival)

@@ -24,12 +24,12 @@ _CHUNK = 256
 
 @dataclass(slots=True)
 class ArrivalEvent:
-    """One realized arrival: its time, the sampled candidate set, and where
-    the task went (None for arrival-only logs that never route)."""
+    """One realized arrival: its time, the sampled candidate set, and the
+    server of that set the task joined."""
 
     time: float
     zeta: tuple
-    routed_to: int | None
+    routed_to: int
 
 
 @dataclass
@@ -328,10 +328,10 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     lengths = sysm.lengths
     inf = math.inf
     kept = [(lo, hi, [], []) for lo, hi in views]
-    emitted = []
+    times = np.asarray(samples)
     samples.append(inf)    # a sentinel no event time exceeds
     si, next_sample = 0, samples[0]
-    next_arr = enext() / rate if rate > 0 else inf
+    next_arr = enext() / rate
 
     while True:
         next_dep = heap[0][0] if heap else inf
@@ -342,7 +342,6 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
             for lo, hi, snaps, tagged in kept:
                 snaps.append(_snapshot(lengths[lo:hi]))
                 tagged.append(lengths[lo])
-            emitted.append(next_sample)
             si += 1
             next_sample = samples[si]
         if nxt > horizon:
@@ -355,7 +354,7 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
             on_arrival(next_arr)
             next_arr += enext() / rate
 
-    return [Trajectory(np.asarray(emitted), snaps, np.asarray(tagged, dtype=int),
+    return [Trajectory(times, snaps, np.asarray(tagged, dtype=int),
                        np.asarray(lengths[lo:hi], dtype=int))
             for lo, hi, snaps, tagged in kept]
 
@@ -409,15 +408,3 @@ def snapshot(traj: Trajectory, t: float) -> TailCounts:
         raise ValueError(f"time {t} is not among the sampled times")
     return traj.snapshots[int(idx[0])]
 
-
-def sample_arrival_log(N, D, lam, horizon, rng) -> EventLog:
-    """Arrival process only: Poisson(lam*N) times with their sampled D-sets,
-    no routing or service.  This is all the ancestry construction consumes."""
-    gen = as_generator(rng)
-    n_arr = gen.poisson(lam * N * horizon)
-    times = np.sort(gen.random(n_arr)) * horizon
-    unext = _draws(lambda: gen.random(_CHUNK))
-    arrivals = [ArrivalEvent(float(times[i]), _sample_zeta(gen, unext, N, D), None)
-                for i in range(n_arr)]
-    return EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
-                    n_arrivals=int(n_arr))

@@ -4,14 +4,26 @@ import numpy as np
 import pytest
 
 from podd import ancestry
-from podd.ancestry import _aggregate, _bits, build_clan, clan_monte_carlo
-from podd.core import RngStream
-from podd.engine import ArrivalEvent, EventLog, sample_arrival_log
+from podd.ancestry import _aggregate, build_clan, clan_monte_carlo
+from podd.core import Configuration, FIFO, RngStream, ServiceDistribution
+from podd.engine import ArrivalEvent, EventLog, run
 from podd.rates import BoundInputs, clan_intersection_bound, clan_size_bound
 
 
+EXP = ServiceDistribution.exponential()
+
+
+def arrival_log(n, d, lam, horizon, rng):
+    """The EventLog of an n-server run from empty; a clan reads only its
+    arrival times and D-sets."""
+    return run(n, d, lam, EXP, FIFO, Configuration.empty(n), horizon, [],
+               rng)[1]
+
+
 def make_log(n, horizon, events):
-    arrivals = [ArrivalEvent(t, tuple(z), None) for t, z in events]
+    """A hand-made log; each task is routed to the first server of its set,
+    which no clan scan reads."""
+    arrivals = [ArrivalEvent(t, tuple(z), z[0]) for t, z in events]
     return EventLog(horizon=horizon, N=n, D=len(events[0][1]) if events else 2,
                     arrivals=arrivals, n_arrivals=len(arrivals))
 
@@ -47,7 +59,7 @@ class TestBuildClan:
     def test_contains_seed_and_monotone(self):
         root = RngStream(21)
         for r in range(25):
-            log = sample_arrival_log(12, 2, 0.6, 2.0, root.child("mono", r))
+            log = arrival_log(12, 2, 0.6, 2.0, root.child("mono", r))
             prev = set()
             for t in (0.0, 0.5, 1.0, 2.0):
                 psi = build_clan(log, 4, t)
@@ -58,7 +70,7 @@ class TestBuildClan:
     def test_intersection_symmetric(self):
         root = RngStream(22)
         for r in range(40):
-            log = sample_arrival_log(10, 2, 0.5, 1.0, root.child("sym", r))
+            log = arrival_log(10, 2, 0.5, 1.0, root.child("sym", r))
             a = build_clan(log, 0, 1.0)
             b = build_clan(log, 3, 1.0)
             assert bool(a & b) == bool(b & a)
@@ -68,7 +80,7 @@ def assert_mc_matches_logs(n, d, lam, grid, reps, seed):
     # both samplers target the same law; their means must agree within
     # combined CI noise
     mc = clan_monte_carlo(n, d, lam, grid, reps, RngStream(seed).child("mc"))
-    logs = [sample_arrival_log(n, d, lam, grid[-1], RngStream(seed).child("lg", r))
+    logs = [arrival_log(n, d, lam, grid[-1], RngStream(seed).child("lg", r))
             for r in range(reps)]
     sizes, hits = [], []
     for log in logs:
@@ -89,12 +101,9 @@ class TestClanMonteCarlo:
         assert_mc_matches_logs(20, 2, 0.5, (0.5, 1.0), 800, seed=26)
 
     def test_agrees_with_log_based_path_past_bit_63(self):
-        # a 20-server system never sets a bit past 63, where a shift by a
-        # numpy int64 gives 0 and the server silently leaves the clan
+        # a 20-server system has no server past index 63, where a clan kept
+        # as a 64-bit mask would silently lose it
         assert_mc_matches_logs(100, 3, 0.5, (0.5, 1.0), 800, seed=30)
-
-    def test_bits_of_numpy_row_past_63(self):
-        assert _bits(np.array([3, 100], dtype=np.int64)) == (1 << 3) | (1 << 100)
 
     def test_bounds_hold_small_grid(self):
         n, d, lam = 50, 2, 0.5
@@ -205,7 +214,7 @@ class TestIndependenceSurrogate:
         root = RngStream(29)
         a_hit = b_hit = both = 0
         for r in range(reps):
-            log = sample_arrival_log(n, d, lam, t, root.child("ind", r))
+            log = arrival_log(n, d, lam, t, root.child("ind", r))
             a = build_clan(log, 0, t) == {0}
             b = build_clan(log, 1, t) == {1}
             a_hit += a

@@ -82,7 +82,32 @@ class TestRunCavity:
                        sample_times=[1.0, math.nan])
 
 
+class _TopUniforms:
+    """Generator proxy whose uniforms are all 1 - 2**-53, the largest
+    `Generator.random` can return; every other draw is the real one."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        return np.full(size, 1 - 2**-53)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
 class TestRunCoupled:
+    def test_largest_uniform_picks_blue(self):
+        # at N = 21, D = 2, lam = 0.1 the three stream shares sum to
+        # 1 - 2**-52, below the largest uniform
+        n = 21
+        gen = _TopUniforms(RngStream(41).child("top").generator())
+        pair = run_coupled(n, 2, 0.1, EXP, FIFO, Configuration.empty(n),
+                           10.0, gen)
+        assert pair.counts["yellow"] == pair.counts["red"] == 0
+        assert pair.counts["blue"] > 0
+        assert pair.tagged_hits[0] == 0
+
     def test_stream_rates(self):
         n, d, lam, horizon, reps = 20, 2, 0.5, 5.0, 120
         root = RngStream(35)

@@ -8,8 +8,7 @@ from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
 from heapq import heappop, heappush
 
 from podd import engine
-from podd.engine import (_CHUNK, run, sample_arrival_log, snapshot,
-                         _draws, _route, _System)
+from podd.engine import _CHUNK, run, snapshot, _draws, _route, _System
 from podd.rates import arrival_rate_closed
 
 EXP = ServiceDistribution.exponential()
@@ -288,6 +287,14 @@ class TestRun:
         assert all(ev.routed_to in ev.zeta for ev in log.arrivals)
         assert all(0 <= t <= 4.0 for t, _ in log.departures)
 
+    def test_candidate_sets_distinct_past_two(self):
+        # at D = 3 < N/2 a D-set is drawn by rejection on repeated servers
+        _, log = run(20, 3, 0.5, EXP, FIFO, Configuration.empty(20), 2.0, [],
+                     RngStream(13).child("al"))
+        assert log.n_arrivals == len(log.arrivals) > 0
+        assert all(len(set(ev.zeta)) == 3 for ev in log.arrivals)
+        assert all(ev.routed_to in ev.zeta for ev in log.arrivals)
+
     def test_work_conservation_deterministic(self):
         # unit jobs: work injected = arrivals, drained at rate 1 per busy
         # server, so remaining work plus drained time equals arrivals
@@ -427,22 +434,6 @@ class TestRateLink:
             else:
                 lengths[s] -= 1
         assert abs(observed - integrated) < 4 * math.sqrt(max(integrated, 1.0))
-
-
-class TestArrivalLog:
-    def test_shape_and_determinism(self):
-        a = sample_arrival_log(20, 3, 0.5, 2.0, RngStream(13).child("al"))
-        b = sample_arrival_log(20, 3, 0.5, 2.0, RngStream(13).child("al"))
-        assert a.n_arrivals == b.n_arrivals == len(a.arrivals)
-        assert [e.time for e in a.arrivals] == [e.time for e in b.arrivals]
-        assert all(len(set(e.zeta)) == 3 for e in a.arrivals)
-        assert all(e.routed_to is None for e in a.arrivals)
-
-    def test_count_mean(self):
-        root = RngStream(14)
-        counts = [sample_arrival_log(50, 2, 0.5, 1.0, root.child("cm", r)).n_arrivals
-                  for r in range(400)]
-        assert abs(np.mean(counts) - 25.0) < 3 * math.sqrt(25.0 / 400)
 
 
 class TestStability:
