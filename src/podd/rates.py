@@ -200,8 +200,13 @@ def chaos_bound(inp: BoundInputs) -> float:
 
 def chaos_bound_limit(inp: BoundInputs) -> float:
     """Large-n simplification (1 + (3/2)^d (e^(2^d lam d t) - 1)) / n, valid
-    for n past an unquantified threshold; see `limit_bound_is_valid`."""
-    return (1.0 + 1.5 ** inp.d * (math.exp(2 ** inp.d * inp.lam * inp.d * inp.t) - 1.0)) / inp.n
+    for n past an unquantified threshold; see `limit_bound_is_valid`.  It is
+    inf where the exponential passes the float range."""
+    try:
+        grown = math.exp(2 ** inp.d * inp.lam * inp.d * inp.t)
+    except OverflowError:
+        return math.inf
+    return (1.0 + 1.5 ** inp.d * (grown - 1.0)) / inp.n
 
 
 def limit_bound_is_valid(inp: BoundInputs) -> bool:

@@ -300,6 +300,16 @@ class TestBounds:
         for r in rows:
             assert float(r["cov_bound"]) == 1.0 / int(r["N"])
 
+    def test_limit_past_float_range_reads_inf(self, tmp_path):
+        cfg = write_config(tmp_path, {"kind": "bounds", "N": [200],
+                                      "D": [10], "lambda": [0.9], "t": [1.0],
+                                      "seed": 1})
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "bounds.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["cov_bound_limit"] == "inf"
+
 
 class TestStationaryOutput:
     def test_p_star_column(self, tmp_path):

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
@@ -259,6 +259,11 @@ class TestChaosBounds:
         assert math.isclose(v, expected, rel_tol=1e-15)
         assert math.isclose(v, 0.12159583757457452, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("d,lam", [(10, 0.9), (8, 0.5)])
+    def test_limit_past_float_range_is_inf(self, d, lam):
+        # e^(2^d lam d t) is past the float range: 2^10 * 0.9 * 10 = 9216
+        assert chaos_bound_limit(BoundInputs(200, d, lam, 1.0)) == math.inf
+
     def test_limit_scaling_exact(self):
         a = chaos_bound_limit(BoundInputs(500, 2, 0.5, 1.0))
         b = chaos_bound_limit(BoundInputs(2000, 2, 0.5, 1.0))
@@ -294,11 +299,15 @@ class TestAsymptoticTail:
         assert asymptotic_tail(3, 0.9, 40) == 0.0
 
     @given(st.integers(2, 5), st.floats(0.05, 0.95), st.integers(0, 6))
+    @example(4, 0.5873926739235202, 5)   # p_6 = 3.8675636e-316, subnormal
     @settings(max_examples=80)
     def test_recursion(self, d, lam, k):
+        # a subnormal carries fewer digits, so there the two sides may
+        # differ by one subnormal spacing, far past rel_tol
         p_k = asymptotic_tail(d, lam, k)
         p_k1 = asymptotic_tail(d, lam, k + 1)
-        assert math.isclose(p_k1, lam * p_k**d, rel_tol=1e-9)
+        assert math.isclose(p_k1, lam * p_k**d, rel_tol=1e-9,
+                            abs_tol=2 * math.ulp(0.0))
 
 
 class TestCavityRate:
