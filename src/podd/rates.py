@@ -202,8 +202,9 @@ def chaos_bound_limit(inp: BoundInputs) -> float:
     """Large-n simplification (1 + (3/2)^d (e^(2^d lam d t) - 1)) / n, valid
     for n past an unquantified threshold; see `limit_bound_is_valid`.  It is
     inf where the exponential passes the float range."""
+    expo = 2 ** inp.d * inp.lam * inp.d * inp.t
     try:
-        grown = math.exp(2 ** inp.d * inp.lam * inp.d * inp.t)
+        grown = math.exp(expo)
     except OverflowError:
         return math.inf
     return (1.0 + 1.5 ** inp.d * (grown - 1.0)) / inp.n
