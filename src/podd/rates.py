@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 # Shift of (pi_k, pi_k1) when the (n+1)-th server is counted at its position
@@ -159,12 +159,29 @@ def _require_room(inp: BoundInputs):
         raise ValueError("bound needs n > d")
 
 
+def _inf_past_float_range(bound):
+    """The bounds' one overflow rule: where a step (`math.exp`,
+    `math.ldexp`, a float power) leaves the float range, the bound reads
+    inf.  Where a bound's (3/2)^d factor multiplies 0, as at t = 0, the
+    bound skips it: from d = 1751 the factor is past the float range."""
+    @wraps(bound)
+    def checked(inp):
+        try:
+            return bound(inp)
+        except OverflowError:
+            return math.inf
+    return checked
+
+
+@_inf_past_float_range
 def clan_growth_factor(inp: BoundInputs) -> float:
     """Exponential envelope exp(2^(d-1) * lam * d * n * t / (n-d)) driving the
     clan-size logistic bound."""
     _require_room(inp)
-    expo = 2 ** (inp.d - 1) * inp.lam * inp.d * inp.n * inp.t / (inp.n - inp.d)
-    return math.exp(expo) if expo < 709 else math.inf
+    # ldexp scales by 2^(d-1) exactly; the int 2 ** (d - 1) is past the
+    # float range from d = 1025, even at t = 0
+    return math.exp(math.ldexp(
+        inp.lam * inp.d * inp.n * inp.t / (inp.n - inp.d), inp.d - 1))
 
 
 def clan_size_bound(inp: BoundInputs) -> float:
@@ -172,7 +189,7 @@ def clan_size_bound(inp: BoundInputs) -> float:
     influence a given server over the last t time units."""
     _require_room(inp)
     u = clan_growth_factor(inp)
-    if math.isinf(u):
+    if math.isinf(inp.n * u):    # then n u / (n + u - 1) rounds to n
         return float(inp.n)
     return inp.n * u / (inp.n + u - 1.0)
 
@@ -180,16 +197,20 @@ def clan_size_bound(inp: BoundInputs) -> float:
 def _log_bracket(inp: BoundInputs) -> float:
     u = clan_growth_factor(inp)
     n = inp.n
-    if math.isinf(u):
+    if math.isinf(n * u):    # (n - 1)(u - 1) may pass the float range
         return math.inf
     return n * math.log((n + u - 1.0) / n) - (n - 1.0) * (u - 1.0) / (n + u - 1.0)
 
 
+@_inf_past_float_range
 def clan_intersection_bound(inp: BoundInputs) -> float:
     """Upper bound on the probability that the influence clans of two distinct
     servers overlap."""
     _require_room(inp)
-    return (1.5 ** inp.d) * float(inp.n) / (inp.n - inp.d) * _log_bracket(inp)
+    bracket = _log_bracket(inp)
+    if bracket == 0.0:    # t = 0
+        return 0.0
+    return (1.5 ** inp.d) * float(inp.n) / (inp.n - inp.d) * bracket
 
 
 def chaos_bound(inp: BoundInputs) -> float:
@@ -198,16 +219,14 @@ def chaos_bound(inp: BoundInputs) -> float:
     return 1.0 / inp.n + 2.0 * clan_intersection_bound(inp)
 
 
+@_inf_past_float_range
 def chaos_bound_limit(inp: BoundInputs) -> float:
     """Large-n simplification (1 + (3/2)^d (e^(2^d lam d t) - 1)) / n, valid
-    for n past an unquantified threshold; see `limit_bound_is_valid`.  It is
-    inf where the exponential passes the float range."""
-    expo = 2 ** inp.d * inp.lam * inp.d * inp.t
-    try:
-        grown = math.exp(expo)
-    except OverflowError:
-        return math.inf
-    return (1.0 + 1.5 ** inp.d * (grown - 1.0)) / inp.n
+    for n past an unquantified threshold; see `limit_bound_is_valid`."""
+    lift = math.exp(math.ldexp(inp.lam * inp.d * inp.t, inp.d)) - 1.0
+    if lift == 0.0:    # t = 0
+        return 1.0 / inp.n
+    return (1.0 + 1.5 ** inp.d * lift) / inp.n
 
 
 def limit_bound_is_valid(inp: BoundInputs) -> bool:
@@ -216,12 +235,16 @@ def limit_bound_is_valid(inp: BoundInputs) -> bool:
     return inp.n >= 10 * inp.d
 
 
+@_inf_past_float_range
 def tail_count_cov_bound(inp: BoundInputs) -> float:
     """Covariance bound for the raw (non-normalized) tail counts:
     2 (3/2)^d n^2 (n-1) / (n-d) * [log bracket] + n."""
     _require_room(inp)
     n = inp.n
-    return 2.0 * (1.5 ** inp.d) * n * n * (n - 1.0) / (n - inp.d) * _log_bracket(inp) + n
+    bracket = _log_bracket(inp)
+    if bracket == 0.0:    # t = 0
+        return float(n)
+    return 2.0 * (1.5 ** inp.d) * n * n * (n - 1.0) / (n - inp.d) * bracket + n
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,28 @@ class TestBounds:
             row, = csv.DictReader(fh)
         assert row["cov_bound_limit"] == "inf"
 
+    def test_large_d_reads_as_d_20(self, tmp_path):
+        # 2 ** (D - 1) is past the float range from D = 1025 and 1.5 ** D
+        # from D = 1751: at t = 0 the rows still read growth 1, size 1,
+        # intersect 0, cov and limit 1/N and tail N; at t = 1 they read inf
+        # (size N), as at D = 20
+        cfg = write_config(tmp_path, {"kind": "bounds", "N": [2000],
+                                      "D": [20, 1100, 1800], "lambda": [0.5],
+                                      "t": [0.0, 1.0], "seed": 1})
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "bounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        bounds = ["growth", "size_bound", "intersect_bound", "cov_bound",
+                  "cov_bound_limit", "tail_cov_bound"]
+        got = {(r["D"], r["t"]): [r[c] for c in bounds] for r in rows}
+        assert got[("20", "0.0")] == ["1.0", "1.0", "0.0", "0.0005", "0.0005",
+                                      "2000.0"]
+        assert got[("20", "1.0")] == ["inf", "2000.0"] + ["inf"] * 4
+        for d in ("1100", "1800"):
+            for t in ("0.0", "1.0"):
+                assert got[(d, t)] == got[("20", t)]
+
 
 class TestStationaryOutput:
     def test_p_star_column(self, tmp_path):

@@ -238,6 +238,17 @@ class TestClanBounds:
                 for n in (100, 1000, 10000)]
         assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("t", [352.0, 354.0])
+    def test_growth_near_float_range(self, t):
+        # e^704.7 and e^708.7 are finite, but n u passes the float range at
+        # n = 2000: the size bound is n, the others inf, none negative
+        inp = BoundInputs(2000, 2, 0.5, t)
+        assert math.isfinite(clan_growth_factor(inp))
+        assert clan_size_bound(inp) == 2000.0
+        assert clan_intersection_bound(inp) == math.inf
+        assert chaos_bound(inp) == math.inf
+        assert tail_count_cov_bound(inp) == math.inf
+
     def test_needs_room(self):
         with pytest.raises(ValueError):
             clan_size_bound(BoundInputs(3, 3, 0.5, 1.0))
