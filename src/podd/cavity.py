@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import Configuration, Discipline, ServiceDistribution, as_generator
 from .engine import (ArrivalEvent, EventLog, Trajectory, _buffers,
-                     _candidates, _drive, _sample_zeta, _System)
+                     _candidates, _check_system, _drive, _sample_zeta,
+                     _System)
 from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
 
 
@@ -22,8 +23,6 @@ from .rates import asymptotic_tail, cavity_rate, uniform_rate_bound
 class CoupledPair:
     """Joint realization of the N- and (N+1)-server systems."""
 
-    N: int
-    D: int
     traj_small: Trajectory
     traj_large: Trajectory
     counts: dict                      # arrivals per stream
@@ -113,12 +112,7 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     i, and 2N its extra server), so one heap orders all departures and, on a
     tie, the small system's go first.
     """
-    if not 0 < lam < 1:
-        raise ValueError("load must lie in (0, 1)")
-    if D < 1 or N < D:
-        raise ValueError("need 1 <= D <= N")
-    if init.N != N:
-        raise ValueError("initial configuration size does not match N")
+    _check_system(N, D, lam, init)
     if sample_times is None:
         sample_times = [horizon]
     gen = as_generator(rng)
@@ -175,9 +169,9 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
 
     traj_s, traj_l = _drive(sysm, horizon, sample_times,
                             [(0, N), (N, 2 * N + 1)], total, enext, on_arrival)
-    log_s = (EventLog(horizon, N, D, arr_small, None, len(arr_small))
+    log_s = (EventLog(horizon, N, arr_small, None, len(arr_small))
              if record_events else None)
-    log_l = (EventLog(horizon, N + 1, D, arr_large, None, len(arr_large))
+    log_l = (EventLog(horizon, N + 1, arr_large, None, len(arr_large))
              if record_events else None)
-    return CoupledPair(N, D, traj_s, traj_l, counts, tuple(hits), log_s, log_l)
+    return CoupledPair(traj_s, traj_l, counts, tuple(hits), log_s, log_l)
 

@@ -524,8 +524,8 @@ def _run_clan(spec, out_dir, pool):
 def _cavity_rep(task):
     d, lam, t, spec, rng = task
     traj = run_cavity(d, lam, spec.service, spec.discipline, t,
-                      rng.child("cavity"), sample_times=[t])
-    return int(traj.tagged[-1])
+                      rng.child("cavity"), sample_times=[])
+    return int(traj.final_lengths[0])
 
 
 def _run_tagged(spec, out_dir, pool):
@@ -539,8 +539,8 @@ def _run_tagged(spec, out_dir, pool):
             spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)), spec.k_max)
         for *_, n in group:
             results = pool.map(_run_rep, _reps(
-                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [t], spec))
-            emp = level_distribution([int(traj.tagged[-1])
+                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [], spec))
+            emp = level_distribution([int(traj.final_lengths[0])
                                       for traj, _ in results], spec.k_max)
             rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv_distance(emp, cav)),
                          _fmt(ci)])
@@ -556,8 +556,8 @@ def _run_stationary(spec, out_dir, pool):
         [(traj, _)] = pool.map(_run_rep, _reps(
             spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon, times,
             spec))
-        for row in stationary_tail(traj, warmup, spec.n_batches, spec.k_max):
-            k = row.params["k"]
+        tail = stationary_tail(traj, warmup, spec.n_batches, spec.k_max)
+        for k, row in enumerate(tail):
             rows.append([n, d, _fmt(lam), k, _fmt(row.estimate),
                          _fmt(row.half_width),
                          _fmt(float(asymptotic_tail(d, lam, k)))])
@@ -570,7 +570,7 @@ def _coupled_rep(task):
     n, d, lam, spec, rng = task
     init = _init_config(spec.init, n, lam, spec.service, rng)
     pair = run_coupled(n, d, lam, spec.service, spec.discipline, init,
-                       spec.horizon, rng.child("run"))
+                       spec.horizon, rng.child("run"), sample_times=[])
     return (pair.counts["yellow"], pair.counts["red"], pair.counts["blue"],
             pair.tagged_hits[0], pair.tagged_hits[1])
 

@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class ArrivalEvent:
 class EventLog:
     horizon: float
     N: int
-    D: int
     arrivals: list = field(default_factory=list)
     departures: list | None = None
     n_arrivals: int = 0
@@ -44,13 +43,12 @@ class EventLog:
 
 @dataclass
 class Trajectory:
-    """State snapshots on a fixed sampling grid, plus the tagged server's
-    queue length and the final queue-length vector."""
+    """State snapshots on a fixed sampling grid, and the final queue-length
+    vector."""
 
     times: np.ndarray
     snapshots: list
-    tagged: np.ndarray
-    final_lengths: np.ndarray | None = None
+    final_lengths: np.ndarray
 
 
 def _draws(fill):
@@ -125,32 +123,32 @@ class _System:
     """Mutable queue state of one system plus its departure schedule.
 
     `_System(n, discipline, queues)` builds that discipline's kernel:
-    `_Fifo`, `_Ps` or `_LifoPr`, holding copies of `queues`' residual lists
-    (n of them; all empty when `queues` is None) at time 0.  `arrive`
-    rejects a residual that is not positive.  The departure heap holds
-    (time, server, version) entries; a server's version rises with each
-    push, so an entry whose version is not the server's current one is a
-    schedule made stale by preemption or a share change, and on a tie in
-    time and server the older entry goes first.  Every kernel leaves a live
-    entry on top of the heap after each `arrive` and `depart`, so its top
-    is the next departure and `depart` pops it once.
+    `_Fifo`, `_Ps` or `_LifoPr`, with n empty servers, and loads each
+    residual of `queues[s]` onto server s, in order, through `arrive` at
+    time 0.  `arrive` rejects a residual that is not positive.  The
+    departure heap holds (time, server, version) entries; a server's
+    version rises with each push, so an entry whose version is not the
+    server's current one is a schedule made stale by preemption or a share
+    change, and on a tie in time and server the older entry goes first.
+    Every kernel leaves a live entry on top of the heap after each `arrive`
+    and `depart`, so its top is the next departure and `depart` pops it
+    once; stale entries may stay under the top until they reach it.
     """
 
     __slots__ = ("lengths", "jobs", "last", "ver", "heap")
-    _queue = list    # a server's job list, from its initial residuals
 
-    def __new__(cls, n, discipline: Discipline, queues=None):
+    def __new__(cls, n, discipline: Discipline, queues=()):
         return object.__new__(_KERNELS[discipline.kind])
 
-    def __init__(self, n, discipline, queues=None):
+    def __init__(self, n, discipline, queues=()):
         self.last = [0.0] * n
         self.ver = [0] * n
         self.heap = []
-        self.jobs = list(map(self._queue,
-                             [()] * n if queues is None else queues))
-        self.lengths = list(map(len, self.jobs))
-        for s in compress(range(n), self.lengths):
-            self._schedule(s, 0.0)
+        self.jobs = [[] for _ in range(n)]
+        self.lengths = [0] * n
+        for s, residuals in enumerate(queues):
+            for r in residuals:
+                self.arrive(s, 0.0, r)
 
 
 class _Fifo(_System):
@@ -159,11 +157,6 @@ class _Fifo(_System):
     A server has at most one schedule, never stale, so versions stay 0."""
 
     __slots__ = ()
-
-    def _schedule(self, s, t):
-        js = self.jobs[s]
-        if js:
-            heappush(self.heap, (t + js[0], s, 0))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -193,18 +186,10 @@ class _Ps(_System):
     service."""
 
     __slots__ = ("vt",)
-    _queue = sorted  # at time 0 the clock is 0, so the tags are the residuals
 
-    def __init__(self, n, discipline, queues=None):
+    def __init__(self, n, discipline, queues=()):
         self.vt = [0.0] * n
         _System.__init__(self, n, discipline, queues)
-
-    def _schedule(self, s, t):
-        js = self.jobs[s]
-        if js:
-            due = len(js) * (js[0] - self.vt[s])
-            heappush(self.heap,
-                     (t + due if due > 0.0 else t, s, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -248,13 +233,6 @@ class _LifoPr(_System):
     service is advanced when a job arrives on its server."""
 
     __slots__ = ()
-
-    def _schedule(self, s, t):
-        js = self.jobs[s]
-        if js:
-            due = js[-1]
-            heappush(self.heap,
-                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -312,9 +290,9 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     handed to `on_arrival(t)`; departures are popped in time order, and a
     departure goes first when it ties with an epoch.  At each sample time
     every view, a server range (lo, hi), is snapshotted; one Trajectory per
-    view is returned, its tagged server being `lo`.  Departures are appended
-    to `departures` as (t, server) when a list is given.  Sample times must
-    lie in [0, horizon].
+    view is returned.  Departures are appended to `departures` as
+    (t, server) when a list is given.  Sample times must lie in
+    [0, horizon].
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and positive")
@@ -327,7 +305,7 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     depart, heap = sysm.depart, sysm.heap
     lengths = sysm.lengths
     inf = math.inf
-    kept = [(lo, hi, [], []) for lo, hi in views]
+    kept = [(lo, hi, []) for lo, hi in views]
     times = np.asarray(samples)
     samples.append(inf)    # a sentinel no event time exceeds
     si, next_sample = 0, samples[0]
@@ -339,9 +317,8 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
         # every sample is <= horizon, so once nxt passes the horizon all
         # that are left are taken before the loop ends
         while next_sample < nxt:
-            for lo, hi, snaps, tagged in kept:
+            for lo, hi, snaps in kept:
                 snaps.append(_snapshot(lengths[lo:hi]))
-                tagged.append(lengths[lo])
             si += 1
             next_sample = samples[si]
         if nxt > horizon:
@@ -354,9 +331,19 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
             on_arrival(next_arr)
             next_arr += enext() / rate
 
-    return [Trajectory(times, snaps, np.asarray(tagged, dtype=int),
-                       np.asarray(lengths[lo:hi], dtype=int))
-            for lo, hi, snaps, tagged in kept]
+    return [Trajectory(times, snaps, np.asarray(lengths[lo:hi], dtype=int))
+            for lo, hi, snaps in kept]
+
+
+def _check_system(N, D, lam, init: Configuration):
+    """Reject a load outside (0, 1), a D outside 1..N, or an initial
+    configuration of other than N servers."""
+    if not (0 < lam < 1):
+        raise ValueError("load must lie in (0, 1)")
+    if not (1 <= D <= N):
+        raise ValueError("need 1 <= D <= N")
+    if init.N != N:
+        raise ValueError("initial configuration size does not match N")
 
 
 def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
@@ -369,13 +356,7 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     (with its sampled candidate sets) would dominate memory; the arrival
     count is kept either way.  Deterministic given identical inputs and rng.
     """
-    if not (0 < lam < 1):
-        raise ValueError("load must lie in (0, 1)")
-    if not (1 <= D <= N):
-        raise ValueError("need 1 <= D <= N")
-    if init.N != N:
-        raise ValueError("initial configuration size does not match N")
-
+    _check_system(N, D, lam, init)
     gen = as_generator(rng)
     sysm = _System(N, disc, init.queues)
     enext, unext, snext = _buffers(gen, dist)
@@ -396,7 +377,7 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
 
     traj, = _drive(sysm, horizon, sample_times, [(0, N)], lam * N, enext,
                    on_arrival, departures)
-    log = EventLog(horizon=float(horizon), N=N, D=D, arrivals=arrivals,
+    log = EventLog(horizon=float(horizon), N=N, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log
 

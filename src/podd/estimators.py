@@ -26,9 +26,8 @@ def z_value(level: float) -> float:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One labelled point estimate with a normal-approximation CI."""
+    """One point estimate with a normal-approximation CI."""
 
-    params: dict
     estimate: float
     half_width: float
 
@@ -71,13 +70,13 @@ def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
     cov, half_width = pair_covariance(pairs, level)
     n_servers = snaps[0].N
     scale = n_servers * n_servers
-    return EstimateRow({"N": n_servers, "k": k, "l": l, "t": t},
-                       abs(float(cov)) / scale, half_width / scale)
+    return EstimateRow(abs(float(cov)) / scale, half_width / scale)
 
 
 def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
                     k_max: int = 8, level: float = 0.95):
-    """Post-warm-up time averages of the tail fractions, batch-means CI.
+    """Post-warm-up time averages of the tail fractions, batch-means CI:
+    one row per level k = 0..k_max, in k order.
 
     The trajectory must be sampled on an (approximately) even grid; samples
     before `warmup` are discarded and the rest split into contiguous batches.
@@ -96,7 +95,7 @@ def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
         batches = vals.reshape(n_batches, per_batch).mean(axis=1)
         est = float(batches.mean())
         hw = z_value(level) * float(batches.std(ddof=1)) / math.sqrt(n_batches)
-        rows.append(EstimateRow({"N": n_servers, "k": k}, est, hw))
+        rows.append(EstimateRow(est, hw))
     return rows
 
 

@@ -282,8 +282,7 @@ def test_criterion_7_stationary_tail(stationary_runs):
     worst = 0.0
     bad = []
     for key in (("FIFO", "exponential"), ("PS", "exponential")):
-        for row in stationary_runs[key]:
-            k = row.params["k"]
+        for k, row in enumerate(stationary_runs[key]):
             err = abs(row.estimate - lam ** (2 ** k - 1))
             worst = max(worst, err)
             if err > max(0.015, 3 * row.half_width):
@@ -298,16 +297,16 @@ def test_criterion_8_insensitivity(stationary_runs):
     bad = []
     for a in range(len(ps)):
         for b in range(a + 1, len(ps)):
-            for ra, rb in zip(ps[a], ps[b]):
+            for k, (ra, rb) in enumerate(zip(ps[a], ps[b])):
                 joint = math.hypot(ra.half_width, rb.half_width)
                 if abs(ra.estimate - rb.estimate) > 3 * joint:
-                    bad.append((a, b, ra.params["k"]))
+                    bad.append((a, b, k))
     # control: FIFO is not symmetric, so the hyperexponential run is reported
     # without a pass/fail judgement
     ctrl = stationary_runs[("FIFO", "hyperexponential")]
     ref = stationary_runs[("PS", "exponential")]
-    diffs = {r.params["k"]: round(r.estimate - s.estimate, 4)
-             for r, s in zip(ctrl, ref)}
+    diffs = {k: round(r.estimate - s.estimate, 4)
+             for k, (r, s) in enumerate(zip(ctrl, ref))}
     print(f"  control FIFO+hyperexponential tail shift vs PS+exp: {diffs}")
     verdict(8, "PS stationary tail is insensitive to the service law",
             not bad, f"violations: {bad}")
@@ -336,8 +335,9 @@ def test_criterion_9_cavity_fixed_point():
     warm, horizon = 100.0, 4100.0
     traj = run_cavity(d, lam, EXP, FIFO, horizon, RngStream(1009).child("mc"),
                       sample_times=np.linspace(0.0, horizon, int(horizon) + 1))
-    mc_bad = [row.params["k"] for row in stationary_tail(traj, warm, 20, k_max=4)
-              if abs(row.estimate - asymptotic_tail(d, lam, row.params["k"]))
+    mc_bad = [k for k, row in enumerate(stationary_tail(traj, warm, 20,
+                                                        k_max=4))
+              if abs(row.estimate - asymptotic_tail(d, lam, k))
               > 3 * max(row.half_width, 1e-4)]
     verdict(9, "tail recursion is an exact flux balance and simulates true",
             alg_ok and not mc_bad,
@@ -351,13 +351,14 @@ def test_criterion_9_cavity_fixed_point():
 def _transient_cavity_law(d, lam, t_end, K=40, dt=1e-3):
     """Law of the limiting tagged queue at t_end, from empty.
 
-    Jointly integrates the limiting tail-fraction flow and the tagged queue's
-    forward equations (exponential service) with classic RK4.
+    Integrates the limiting tail-fraction flow with classic RK4.  From an
+    empty start the tagged queue's law is the limiting empirical measure,
+    q_k = p_k - p_{k+1}: with the cavity rate at level k,
+    lam * (p_k^d - p_{k+1}^d) / (p_k - p_{k+1}), the tagged queue's forward
+    equations are the tail flow's differences.  dp_0 = 0, so p_0 stays 1.
     """
     p = np.zeros(K + 2)
     p[0] = 1.0
-    q = np.zeros(K + 1)
-    q[0] = 1.0
 
     def fp(p):
         dp = np.zeros_like(p)
@@ -365,37 +366,13 @@ def _transient_cavity_law(d, lam, t_end, K=40, dt=1e-3):
                        - (p[1:K + 1] - p[2:K + 2]))
         return dp
 
-    def rates(p):
-        return np.array([cavity_rate(d, lam, p[k], p[k + 1])
-                         for k in range(K)])
-
-    def fq(q, lk):
-        dq = np.zeros_like(q)
-        dq[0] = q[1] - lk[0] * q[0]
-        dq[1:K] = (lk[0:K - 1] * q[0:K - 1] + q[2:K + 1]
-                   - (lk[1:K] + 1.0) * q[1:K])
-        dq[K] = lk[K - 1] * q[K - 1] - q[K]
-        return dq
-
     for _ in range(int(round(t_end / dt))):
-        pk1 = fp(p)
-        qk1 = fq(q, rates(p))
-        p2 = p + dt / 2 * pk1
-        p2[0] = 1.0
-        pk2 = fp(p2)
-        qk2 = fq(q + dt / 2 * qk1, rates(p2))
-        p3 = p + dt / 2 * pk2
-        p3[0] = 1.0
-        pk3 = fp(p3)
-        qk3 = fq(q + dt / 2 * qk2, rates(p3))
-        p4 = p + dt * pk3
-        p4[0] = 1.0
-        pk4 = fp(p4)
-        qk4 = fq(q + dt * qk3, rates(p4))
-        p = p + dt / 6 * (pk1 + 2 * pk2 + 2 * pk3 + pk4)
-        p[0] = 1.0
-        q = q + dt / 6 * (qk1 + 2 * qk2 + 2 * qk3 + qk4)
-    return q
+        k1 = fp(p)
+        k2 = fp(p + dt / 2 * k1)
+        k3 = fp(p + dt / 2 * k2)
+        k4 = fp(p + dt * k3)
+        p = p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p[:-1] - p[1:]
 
 
 def test_criterion_10_tagged_convergence():
@@ -505,7 +482,7 @@ def test_criterion_11_cavity_tv_decay():
     for r in range(4000):
         traj = run_cavity(d, lam, ERL4, FIFO, t_probe, root.child("erl", r),
                           sample_times=[t_probe])
-        term.append(int(traj.tagged[-1]))
+        term.append(int(traj.final_lengths[0]))
     q_lvl = _level_law(gen_e, t_probe, level_of, K + 1)
     k_max = 6
     solver = np.zeros(k_max + 1)

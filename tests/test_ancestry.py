@@ -24,13 +24,13 @@ def make_log(n, horizon, events):
     """A hand-made log; each task is routed to the first server of its set,
     which no clan scan reads."""
     arrivals = [ArrivalEvent(t, tuple(z), z[0]) for t, z in events]
-    return EventLog(horizon=horizon, N=n, D=len(events[0][1]) if events else 2,
-                    arrivals=arrivals, n_arrivals=len(arrivals))
+    return EventLog(horizon=horizon, N=n, arrivals=arrivals,
+                    n_arrivals=len(arrivals))
 
 
 class TestBuildClan:
     def test_empty_log(self):
-        log = EventLog(horizon=1.0, N=5, D=2)
+        log = EventLog(horizon=1.0, N=5)
         assert build_clan(log, 3, 1.0) == {3}
 
     def test_hand_trace(self):
@@ -50,7 +50,7 @@ class TestBuildClan:
         assert build_clan(log, 2, 0.3) == {2}
 
     def test_window_validated(self):
-        log = EventLog(horizon=1.0, N=3, D=2)
+        log = EventLog(horizon=1.0, N=3)
         with pytest.raises(ValueError):
             build_clan(log, 0, 2.0)
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ def logs_from_draws(n, d, grid, counts, dsets, block):
                                            zeta))
     assert next(draws, None) is None
     return [make_log(n, horizon, sorted(ev)) if ev else
-            EventLog(horizon=horizon, N=n, D=d) for ev in events]
+            EventLog(horizon=horizon, N=n) for ev in events]
 
 
 class TestBlockScanExact:

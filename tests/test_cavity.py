@@ -36,6 +36,12 @@ class TestLevelDistribution:
         assert d.sum() == 1.0
 
 
+def sampled_lengths(traj):
+    """The cavity queue's length at each sample time: a one-server snapshot
+    has pi_k = 1 for k up to the length, and pi_0 = 1 always."""
+    return np.asarray([sum(tc.pi) - 1 for tc in traj.snapshots])
+
+
 class TestRunCavity:
     def test_thinning_matches_birth_death(self):
         # under the stationary tail the queue is a birth-death chain with
@@ -52,15 +58,17 @@ class TestRunCavity:
         traj = run_cavity(d, lam, EXP, FIFO, 6000.0,
                           RngStream(32).child("bd"),
                           sample_times=np.linspace(500, 6000, 5501))
-        emp = np.bincount(traj.tagged, minlength=len(pi))[: len(pi)] / traj.tagged.size
+        levels = sampled_lengths(traj)
+        emp = np.bincount(levels, minlength=len(pi))[: len(pi)] / levels.size
         assert tv_distance(emp / emp.sum(), pi / pi.sum()) < 0.02
 
     def test_stationary_tail_prediction(self):
         traj = run_cavity(2, 0.5, EXP, FIFO, 8000.0,
                           RngStream(33).child("st"),
                           sample_times=np.linspace(500, 8000, 7501))
+        levels = sampled_lengths(traj)
         for k in range(4):
-            p_hat = (traj.tagged >= k).mean()
+            p_hat = (levels >= k).mean()
             assert abs(p_hat - asymptotic_tail(2, 0.5, k)) < 0.02
 
     def test_deterministic_given_stream(self):
@@ -68,7 +76,8 @@ class TestRunCavity:
                        sample_times=[10.0, 50.0])
         b = run_cavity(2, 0.5, EXP, PS, 50.0, RngStream(34).child("d"),
                        sample_times=[10.0, 50.0])
-        assert (a.tagged == b.tagged).all()
+        assert a.snapshots == b.snapshots
+        assert (a.final_lengths == b.final_lengths).all()
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
     def test_bad_horizon_rejected(self, horizon):

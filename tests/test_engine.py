@@ -230,20 +230,39 @@ class TestPsClock:
 
 
 class TestLiveHeapTop:
+    # `_drive` reads the heap top as the next departure without a check
+
     @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
                              ids=lambda disc: disc.kind)
     def test_top_is_live_after_every_event(self, disc):
-        # `_drive` reads the heap top as the next departure without a check
         gen = RngStream(9).child(disc.kind).generator()
-        lengths = [2, 0, 3, 1]
-        sysm = _System(4, disc, config_from_lengths(lengths, 9).queues)
+        queues = config_from_lengths([2, 0, 3, 1], 9).queues
+        self._run_checked(_System(4, disc, queues), gen, gen.exponential)
+
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
+                             ids=lambda disc: disc.kind)
+    def test_top_is_live_with_tied_loaded_finish_times(self, disc):
+        # unit jobs: every server's first job would finish at 1.0, so under
+        # PS and LIFO_PR the schedules that a server's later jobs make stale
+        # stay under server 0's live entry at the top
+        gen = RngStream(10).child(disc.kind).generator()
+        sysm = _System(4, disc, [[1.0] * n for n in (1, 2, 3, 2)])
+        stale = [e for e in sysm.heap if e[2] != sysm.ver[e[1]]]
+        assert bool(stale) == (disc is not FIFO)
+        self._run_checked(sysm, gen, lambda: 1.0)
+
+    def _run_checked(self, sysm, gen, residual):
+        """Check the top right after loading, then after each of the
+        departures and 400 arrivals on random servers."""
+        self._check(sysm)
+        n = len(sysm.lengths)
         t = 0.0
         for _ in range(400):
             t += gen.exponential(0.3)
             while sysm.heap and sysm.heap[0][0] <= t:
                 sysm.depart()
                 self._check(sysm)
-            sysm.arrive(int(gen.integers(4)), t, gen.exponential())
+            sysm.arrive(int(gen.integers(n)), t, residual())
             self._check(sysm)
 
     @staticmethod

@@ -144,8 +144,7 @@ class TestStationaryTail:
                       times, RngStream(58).child("mm1"), record_events=False)
         rows = stationary_tail(traj, warmup=10 / (1 - lam), n_batches=20,
                                k_max=4)
-        for row in rows:
-            k = row.params["k"]
+        for k, row in enumerate(rows):
             assert abs(row.estimate - lam**k) < max(0.02, 4 * row.half_width), k
 
     def test_horizon_validation(self):

@@ -138,40 +138,40 @@ def _cavity_stationary():
 CASES = {
     "run-ps-erlang-geometric":
         (_run_ps_erlang,
-         "dd830794d32c1c0408b678f927a269176d31412a09db9e50bb65b54b7616eabc"),
+         "44dfaa0dbb0ecb6538b0d1332e0b68d5de86584bc0412c058ef722885c177a7f"),
     "run-fifo-det-all-at-2":
         (_run_fifo_det,
-         "5daa4827527f53a801f553fdbe3c3b5bfee641ec832d72b6c61c25f6daef8af6"),
+         "a8b711ca93e2fe4c835045f6801fc36ac2e37b8e3bd40a8ad357c72cd768e497"),
     "run-lifo-hyperexp-permutation":
         (_run_lifo_permutation,
-         "32bc58c616078c5bc56a8a43126acf745d7573ddbc9f56c59f31bbf636020f3c"),
+         "c8236e99eab88b8da93505d67d8156a366774c20a346ba42f985579d3655b6f2"),
     "run-d2-ps-hyperexp-geometric":
         (_run_d2_ps_hyperexp,
-         "64f0e6a09ceedee34bb34bb45b380ffef81ecccf12df1ce9320d3466a9302aaf"),
+         "86ed0af6fd57c436cb5080f8444949ffb1a4a63609d5a1cc748a376bc1b26082"),
     "run-d2-lifo-erlang-all-at-2":
         (_run_d2_lifo_erlang,
-         "d3120b7cbe4681ad530ebaa9c513d5d26cd6871808a27d81d30d2ad3e9cbb1a7"),
+         "dd93a8846c7e245cf88b945bd76c31c34469a677636933ea4cf70629dc723b61"),
     "run-d2-fifo-det-all-at-2":
         (_run_d2_fifo_det,
-         "34ccd95e3ea56a2e3715b236c839221e1c934d65850b58246c56926338f776eb"),
+         "6343cf3184bb53c175dbdc7ae9516271999a28c5a8ba006b986774089063da7e"),
     "run-d2-n4-permutation":
         (_run_d2_permutation,
-         "ac6f453248be4f743f5d4116f2e9906cfb56f60584322352416e1101b3022a19"),
+         "9bfa5fd7e55a98e9a82287b5ebe808b96cbe8fe2aca645ea556fe274af2879b2"),
     "coupled-ps-erlang-geometric":
         (_coupled_erlang_geometric,
-         "a9a23b80c44c00f04e481c7e00f42f7b8c31c477e394ab8df9020b77bebbeb85"),
+         "267267c36307347b5cb1cf4cd494d905878ba16ebec2b2be1ea95f9cfaf44e05"),
     "coupled-fifo-det-all-at-2":
         (_coupled_det_all_at_2,
-         "a2177a168d476207e2a097ca17cb8fad9ada665aed9f715f32187fd4ddd9bdf5"),
+         "3c98ab2dd984367d7e98eb23c846f239e0b747219b512f29bd4f2d41cc065f5b"),
     "coupled-lifo-d1-yellow-blue":
         (_coupled_lifo_d1,
-         "d56c6201487f57036cb308633d09d500a7c82aa99a2f0f758830600707dc1c5f"),
+         "2eb421a5866c1852e7d822a1a52ed4a6cb52578baed4382918a3abcc16563be1"),
     "coupled-d2-fifo-exp":
         (_coupled_d2_fifo_exp,
-         "1496c0de5c60ff9828adae70858bebd9b22d7b1175041093541625a45d354bbd"),
+         "8855b586109383ab3266257617f69ea2f8c2c0d28b980f4c7245f2bbb98e1379"),
     "cavity-stationary":
         (_cavity_stationary,
-         "d48155c71f9461067a5b91d71981b3b3ca78ea3dd6e5b05b498942f67477d66d"),
+         "f1b7e35abd3e7b05bf7c09cc178250faa79ed97c73c85b3ee0aeafbdaffa1ae9"),
 }
 
 

@@ -4,12 +4,15 @@
     python3 tools/rep_cost.py --src OTHER/src    # another checkout
 
 Times `podd.cli._run_rep` on a `chaos` cell at N=200, D=2, lambda=0.5, FIFO,
-exponential service, empty start, for t = 1e-9 and t = 1, and
+exponential service, empty start, for t = 1e-9 and t = 1; the two
+replications of a `tagged` cell at N=200, D=2, lambda=0.5, t=2:
+`_run_rep` with no sample time and `podd.cli._cavity_rep`; and
 `podd.cli._coupled_rep` at N=100, D=2, lambda=0.5, horizon 4 (the
 `many-reps` benchmark's sizes).  At t = 1e-9 no event happens, so that time
 is a replication's fixed cost: streams, draw buffers, kernel, snapshot.
 Each line gives the best, over REPEAT passes of REPS replications (REPS // 5
-for coupled), of the mean time per replication in microseconds.  The host's
+for the tagged N=200 system and for coupled), of the mean time per
+replication in microseconds.  The host's
 load moves these numbers; compare two checkouts by alternating runs.
 """
 from __future__ import annotations
@@ -39,7 +42,7 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(SRC), help="the src/ to import podd from")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
-    from podd.cli import _coupled_rep, _run_rep, parse_config
+    from podd.cli import _cavity_rep, _coupled_rep, _run_rep, parse_config
     from podd.core import RngStream
 
     root = RngStream(1)
@@ -51,6 +54,17 @@ def main(argv=None) -> int:
                  for r in range(REPS)]
         us = best_mean_us(_run_rep, tasks)
         print(f"chaos N=200 t={t:g}: {us:.0f} us per replication")
+    tagged = parse_config({"kind": "tagged", "N": [200], "D": [2],
+                           "lambda": [0.5], "t": [2.0], "replications": 1,
+                           "seed": 1})
+    tasks = [(200, 2, 0.5, 2.0, [], tagged, root.child("tagged", r))
+             for r in range(REPS // 5)]
+    us = best_mean_us(_run_rep, tasks)
+    print(f"tagged N=200 t=2: {us:.0f} us per replication")
+    tasks = [(2, 0.5, 2.0, tagged, root.child("cavity", r))
+             for r in range(REPS)]
+    us = best_mean_us(_cavity_rep, tasks)
+    print(f"tagged cavity t=2: {us:.0f} us per replication")
     coupled = parse_config({"kind": "coupled", "N": [100], "D": [2],
                             "lambda": [0.5], "horizon": 4.0,
                             "replications": 1, "seed": 1})
