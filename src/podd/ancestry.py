@@ -2,12 +2,12 @@
 
 A clan depends only on the arrival process: the arrival times and the
 sampled D-sets, not on where the tasks went or how long they took.  Scanning
-an arrival log (the EventLog `engine.run` returns) backwards from the
-horizon, a clan starts as {i} and absorbs the whole sampled set of any
-arrival that touches it.  Clan size and the probability that two clans
-overlap control how fast pairs of servers decorrelate, so this module also
-ships a Monte Carlo driver, which draws only arrival counts and D-sets, to
-compare both quantities against their analytic ceilings.
+the arrivals backwards from the horizon, a clan starts as {i} and absorbs
+the whole sampled set of any arrival that touches it.  Clan size and the
+probability that two clans overlap control how fast pairs of servers
+decorrelate, so this module ships a Monte Carlo driver, which draws only
+arrival counts and D-sets, to compare both quantities against their
+analytic ceilings.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, as_generator
-from .engine import EventLog
 from .estimators import z_value
 
 
@@ -31,29 +30,6 @@ class ClanStats:
     p_intersect: tuple
     p_ci: tuple
     n_reps: int
-
-
-def build_clan(log: EventLog, i: int, t: float) -> frozenset:
-    """Clan of server i over the last t time units of the log, as the set
-    of its servers.
-
-    The reference scan, which the tests check `clan_monte_carlo` against.
-    Pure function of the log: arrivals are scanned in decreasing time from the
-    horizon; whenever the scanned arrival's sampled set meets the clan, the
-    clan absorbs the whole set.
-    """
-    if t > log.horizon:
-        raise ValueError("window exceeds the log horizon")
-    if not 0 <= i < log.N:
-        raise ValueError("server index out of range")
-    start = log.horizon - t
-    clan = {i}
-    for ev in reversed(log.arrivals):
-        if ev.time < start:
-            break
-        if not clan.isdisjoint(ev.zeta):
-            clan.update(ev.zeta)
-    return frozenset(clan)
 
 
 def _aggregate(sizes, hits, t_grid) -> ClanStats:

@@ -52,7 +52,7 @@ def level_distribution(samples, k_max: int) -> np.ndarray:
 
 
 def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
-               rng, sample_times=None) -> Trajectory:
+               rng, sample_times=()) -> Trajectory:
     """Single queue with level-dependent arrival rate, exact in time.
 
     At level k the rate is `cavity_rate` of the stationary tail fractions
@@ -64,8 +64,6 @@ def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
     """
     if not 0 < lam < 1:
         raise ValueError("load must lie in (0, 1)")
-    if sample_times is None:
-        sample_times = [horizon]
     gen = as_generator(rng)
     p, q = uniform_rate_bound(D)
     bound = lam * (p / q)
@@ -86,7 +84,7 @@ def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
 
 
 def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
-                init: Configuration, horizon, rng, sample_times=None,
+                init: Configuration, horizon, rng, sample_times=(),
                 record_events=False) -> CoupledPair:
     """Drive an N-server and an (N+1)-server system from three streams.
 
@@ -113,8 +111,6 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     tie, the small system's go first.
     """
     _check_system(N, D, lam, init)
-    if sample_times is None:
-        sample_times = [horizon]
     gen = as_generator(rng)
 
     yellow, red, blue = lam * (N - D + 1), lam * (D - 1), lam * D

@@ -308,14 +308,31 @@ def _reps(spec, label, *args):
     return [(*args, base.child(label, r)) for r in range(spec.replications)]
 
 
-def _init_config(profile: str, n: int, lam: float, dist, rng: RngStream) -> Configuration:
-    if profile == "empty":
-        return Configuration.empty(n)
-    if profile == "all-at-2":
-        return Configuration.from_lengths([2] * n, dist, rng.child("init"))
+def _shared_start(spec, n: int) -> Configuration | None:
+    """The initial state all replications of an n-server cell share: for an
+    empty start, `Configuration.empty(n)`, built once per cell (no kernel
+    writes to it); None where each replication draws its own."""
+    return Configuration.empty(n) if spec.init == "empty" else None
+
+
+def _run_tasks(spec, label, n, d, lam, horizon, times):
+    """The `_run_rep` tasks of an n-server cell (`_reps`), sharing the
+    cell's start."""
+    return _reps(spec, label, n, d, lam, horizon, times, spec,
+                 _shared_start(spec, n))
+
+
+def _init_config(spec, n: int, lam: float, start, rng: RngStream) -> Configuration:
+    """A replication's initial state: the cell's shared `start`, or else
+    one drawn from the replication's stream by the `init` profile."""
+    if start is not None:
+        return start
+    if spec.init == "all-at-2":
+        return Configuration.from_lengths([2] * n, spec.service,
+                                          rng.child("init"))
     gen = rng.child("init-lengths").generator()
     lengths = gen.geometric(1.0 - lam, size=n) - 1
-    return Configuration.from_lengths([int(v) for v in lengths], dist,
+    return Configuration.from_lengths([int(v) for v in lengths], spec.service,
                                       rng.child("init"))
 
 
@@ -434,8 +451,8 @@ def _run_rates_check(spec, out_dir, pool):
 def _run_rep(task):
     """One replication of the event engine: the kind's initial state, then
     `run` over [0, horizon], sampled at `times`."""
-    n, d, lam, horizon, times, spec, rng = task
-    init = _init_config(spec.init, n, lam, spec.service, rng)
+    n, d, lam, horizon, times, spec, start, rng = task
+    init = _init_config(spec, n, lam, start, rng)
     return run(n, d, lam, spec.service, spec.discipline, init, horizon,
                times, rng.child("run"), record_events=spec.record_events)
 
@@ -448,8 +465,8 @@ def _run_simulate(spec, out_dir, pool):
     # spread over the workers
     results = pool.map(_run_rep, [
         task for n, d, lam in cells
-        for task in _reps(spec, f"sim-{n}-{d}-{lam}", n, d, lam,
-                          spec.horizon, times, spec)])
+        for task in _run_tasks(spec, f"sim-{n}-{d}-{lam}", n, d, lam,
+                               spec.horizon, times)])
     meta = list(itertools.product(cells, range(spec.replications)))
     # generators: each row is written as it is made, so no run holds all
     # of its rows at once
@@ -477,8 +494,8 @@ def _run_chaos(spec, out_dir, pool):
     rows = []
     failures = 0
     for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
-        results = pool.map(_run_rep, _reps(spec, f"chaos-{n}-{d}-{lam}-{t}",
-                                           n, d, lam, t, [t], spec))
+        results = pool.map(_run_rep, _run_tasks(
+            spec, f"chaos-{n}-{d}-{lam}-{t}", n, d, lam, t, [t]))
         trajs = [traj for traj, _ in results]
         bound = chaos_bound(BoundInputs(n, d, lam, t))
         for k, l in itertools.product(spec.k, spec.l):
@@ -524,7 +541,7 @@ def _run_clan(spec, out_dir, pool):
 def _cavity_rep(task):
     d, lam, t, spec, rng = task
     traj = run_cavity(d, lam, spec.service, spec.discipline, t,
-                      rng.child("cavity"), sample_times=[])
+                      rng.child("cavity"))
     return int(traj.final_lengths[0])
 
 
@@ -538,8 +555,8 @@ def _run_tagged(spec, out_dir, pool):
         cav = level_distribution(pool.map(_cavity_rep, _reps(
             spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)), spec.k_max)
         for *_, n in group:
-            results = pool.map(_run_rep, _reps(
-                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [], spec))
+            results = pool.map(_run_rep, _run_tasks(
+                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, []))
             emp = level_distribution([int(traj.final_lengths[0])
                                       for traj, _ in results], spec.k_max)
             rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv_distance(emp, cav)),
@@ -553,9 +570,8 @@ def _run_stationary(spec, out_dir, pool):
     rows = []
     for n, d, lam in _cells(spec, "N", "D", "lam"):
         times, warmup = _stationary_grid(spec, lam)
-        [(traj, _)] = pool.map(_run_rep, _reps(
-            spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon, times,
-            spec))
+        [(traj, _)] = pool.map(_run_rep, _run_tasks(
+            spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon, times))
         tail = stationary_tail(traj, warmup, spec.n_batches, spec.k_max)
         for k, row in enumerate(tail):
             rows.append([n, d, _fmt(lam), k, _fmt(row.estimate),
@@ -567,10 +583,10 @@ def _run_stationary(spec, out_dir, pool):
 
 
 def _coupled_rep(task):
-    n, d, lam, spec, rng = task
-    init = _init_config(spec.init, n, lam, spec.service, rng)
+    n, d, lam, spec, start, rng = task
+    init = _init_config(spec, n, lam, start, rng)
     pair = run_coupled(n, d, lam, spec.service, spec.discipline, init,
-                       spec.horizon, rng.child("run"), sample_times=[])
+                       spec.horizon, rng.child("run"))
     return (pair.counts["yellow"], pair.counts["red"], pair.counts["blue"],
             pair.tagged_hits[0], pair.tagged_hits[1])
 
@@ -579,7 +595,8 @@ def _run_coupled(spec, out_dir, pool):
     rows = []
     for n, d, lam in _cells(spec, "N", "D", "lam"):
         results = pool.map(_coupled_rep, _reps(spec, f"coupled-{n}-{d}-{lam}",
-                                               n, d, lam, spec))
+                                               n, d, lam, spec,
+                                               _shared_start(spec, n)))
         for r, (y, rd, bl, h_s, h_l) in enumerate(results):
             rows.append([r, n, d, _fmt(lam), _fmt(spec.horizon),
                          y, rd, bl, h_s, h_l])

@@ -237,29 +237,6 @@ class ServiceDistribution:
                              "round to 0")
         return cls("weibull", (float(shape),), (float(shape),))
 
-    # -- analytics ----------------------------------------------------------
-
-    def variance(self) -> float:
-        if self.kind == "exponential":
-            return 1.0
-        if self.kind == "deterministic":
-            return 0.0
-        if self.kind == "erlang":
-            (shape,) = self.params
-            return 1.0 / shape
-        if self.kind == "hyperexponential":
-            weights, rates = self.params
-            second = sum(2.0 * w / (r * r) for w, r in zip(weights, rates))
-            return second - 1.0
-        if self.kind == "lognormal":
-            (sigma,) = self.params
-            return math.exp(sigma * sigma) - 1.0
-        if self.kind == "weibull":
-            (shape,) = self.params
-            scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
-            return scale * scale * math.gamma(1.0 + 2.0 / shape) - 1.0
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
-
     # -- sampling -----------------------------------------------------------
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:

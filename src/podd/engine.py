@@ -16,8 +16,9 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (Configuration, Discipline, ServiceDistribution, TailCounts,
-                   as_generator, tail_counts_from_lengths)
+from .core import (FIFO, LIFO_PR, PS, Configuration, Discipline,
+                   ServiceDistribution, TailCounts, as_generator,
+                   tail_counts_from_lengths)
 
 _CHUNK = 256
 
@@ -138,7 +139,7 @@ class _System:
     __slots__ = ("lengths", "jobs", "last", "ver", "heap")
 
     def __new__(cls, n, discipline: Discipline, queues=()):
-        return object.__new__(_KERNELS[discipline.kind])
+        return object.__new__(_KERNELS[discipline])
 
     def __init__(self, n, discipline, queues=()):
         self.last = [0.0] * n
@@ -266,7 +267,7 @@ class _LifoPr(_System):
         return t, s
 
 
-_KERNELS = {"FIFO": _Fifo, "PS": _Ps, "LIFO_PR": _LifoPr}
+_KERNELS = {FIFO: _Fifo, PS: _Ps, LIFO_PR: _LifoPr}
 
 
 def _snapshot(lengths):

@@ -1,5 +1,5 @@
-"""Cross-replication statistics: covariance of occupancy summaries, stationary
-tails with batch means, and exponential-decay fitting.
+"""Cross-replication statistics: covariance of occupancy summaries, and
+stationary tails with batch means.
 
 The covariance is computed exactly, from integer sums over the replications.
 """
@@ -97,30 +97,3 @@ def stationary_tail(traj: Trajectory, warmup: float, n_batches: int,
         hw = z_value(level) * float(batches.std(ddof=1)) / math.sqrt(n_batches)
         rows.append(EstimateRow(est, hw))
     return rows
-
-
-@dataclass(frozen=True)
-class FitResult:
-    amplitude: float
-    rate: float
-    r_squared: float
-
-
-def fit_exp_decay(ts, values) -> FitResult:
-    """Least-squares fit of values ~ amplitude * exp(-rate * t).
-
-    Fits log(values) against t; requires at least 5 strictly positive points.
-    """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ts.size != values.size or ts.size < 5:
-        raise ValueError("need at least 5 (t, value) points")
-    if (values <= 0).any():
-        raise ValueError("values must be strictly positive for a log fit")
-    y = np.log(values)
-    slope, intercept = np.polyfit(ts, y, 1)
-    pred = slope * ts + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return FitResult(math.exp(intercept), -slope, r2)

@@ -43,31 +43,8 @@ class BoundInputs:
 
 
 # ---------------------------------------------------------------------------
-# Per-server arrival rate, three equivalent forms
+# Per-server arrival rates
 # ---------------------------------------------------------------------------
-
-def selection_sum(d: int, a: int, b: int):
-    """Sum over split points of falling-factorial products of a and b.
-
-    Term i multiplies the first i falling factors of a with the trailing
-    d-1-i factors of b; it satisfies d! * C(b,d) = d! * C(a,d)
-    + (b-a) * selection_sum(d, a, b), which is how the closed-form rate
-    collapses to a difference of binomials.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0 <= a < b:
-        raise ValueError("need 0 <= a < b")
-    total = 0
-    for i in range(d):
-        term = 1
-        for j in range(i):
-            term *= a - j
-        for j in range(i + 1, d):
-            term *= b - j
-        total += term
-    return total
-
 
 @lru_cache(maxsize=128)
 def _lcm_upto(d: int) -> int:
@@ -197,8 +174,11 @@ def clan_size_bound(inp: BoundInputs) -> float:
 def _log_bracket(inp: BoundInputs) -> float:
     u = clan_growth_factor(inp)
     n = inp.n
-    if math.isinf(n * u):    # (n - 1)(u - 1) may pass the float range
-        return math.inf
+    if math.isinf(n * u):
+        # n u and (n - 1)(u - 1) pass the float range, so divide by n and by
+        # u - 1 first; inf when u is
+        return (n * math.log(u / n + (n - 1.0) / n)
+                - (n - 1.0) / (1.0 + n / (u - 1.0)))
     return n * math.log((n + u - 1.0) / n) - (n - 1.0) * (u - 1.0) / (n + u - 1.0)
 
 

@@ -22,12 +22,14 @@ from podd.cavity import level_distribution, run_cavity, tv_distance
 from podd.cli import main
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
-from podd.estimators import cov_mk, fit_exp_decay, stationary_tail
+from podd.estimators import cov_mk, stationary_tail
 from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         arrival_rate_hyper, arrival_rate_plus_one,
                         asymptotic_tail, cavity_rate, chaos_bound,
                         clan_intersection_bound, clan_size_bound,
                         monotone_threshold, uniform_rate_bound)
+
+from test_estimators import fit_exp_decay
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()

@@ -4,13 +4,36 @@ import numpy as np
 import pytest
 
 from podd import ancestry
-from podd.ancestry import _aggregate, build_clan, clan_monte_carlo
+from podd.ancestry import _aggregate, clan_monte_carlo
 from podd.core import Configuration, FIFO, RngStream, ServiceDistribution
 from podd.engine import ArrivalEvent, EventLog, run
 from podd.rates import BoundInputs, clan_intersection_bound, clan_size_bound
 
 
 EXP = ServiceDistribution.exponential()
+
+
+def build_clan(log: EventLog, i: int, t: float) -> frozenset:
+    """Clan of server i over the last t time units of the log, as the set
+    of its servers.
+
+    The reference scan, which the tests check `clan_monte_carlo` against.
+    Pure function of the log: arrivals are scanned in decreasing time from the
+    horizon; whenever the scanned arrival's sampled set meets the clan, the
+    clan absorbs the whole set.
+    """
+    if t > log.horizon:
+        raise ValueError("window exceeds the log horizon")
+    if not 0 <= i < log.N:
+        raise ValueError("server index out of range")
+    start = log.horizon - t
+    clan = {i}
+    for ev in reversed(log.arrivals):
+        if ev.time < start:
+            break
+        if not clan.isdisjoint(ev.zeta):
+            clan.update(ev.zeta)
+    return frozenset(clan)
 
 
 def arrival_log(n, d, lam, horizon, rng):

@@ -91,6 +91,15 @@ class TestRunCavity:
                        sample_times=[1.0, math.nan])
 
 
+def test_no_sample_times_take_no_snapshot():
+    # both used to snapshot at the horizon, which no caller read
+    traj = run_cavity(2, 0.5, EXP, FIFO, 2.0, RngStream(35))
+    pair = run_coupled(4, 2, 0.5, EXP, FIFO, Configuration.empty(4), 2.0,
+                       RngStream(35))
+    for t in (traj, pair.traj_small, pair.traj_large):
+        assert t.snapshots == [] and t.times.size == 0
+
+
 class _TopUniforms:
     """Generator proxy whose uniforms are all 1 - 2**-53, the largest
     `Generator.random` can return; every other draw is the real one."""

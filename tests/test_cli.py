@@ -310,6 +310,23 @@ class TestBounds:
             row, = csv.DictReader(fh)
         assert row["cov_bound_limit"] == "inf"
 
+    def test_finite_where_n_times_growth_passes_float_range(self, tmp_path):
+        # growth 1.12e306 times N = 2000 is past the float range; the bounds
+        # used to read inf there
+        cfg = write_config(tmp_path, {"kind": "bounds", "N": [2000],
+                                      "D": [2], "lambda": [0.5], "t": [352.0],
+                                      "seed": 1})
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "bounds.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["size_bound"] == "2000.0"
+        # 3,135,604.965 in 60-digit decimal arithmetic
+        assert math.isclose(float(row["intersect_bound"]), 3135604.965,
+                            rel_tol=1e-9)
+        for col in ("cov_bound", "tail_cov_bound"):
+            assert math.isfinite(float(row[col]))
+
     def test_large_d_reads_as_d_20(self, tmp_path):
         # 2 ** (D - 1) is past the float range from D = 1025 and 1.5 ** D
         # from D = 1751: at t = 0 the rows still read growth 1, size 1,
@@ -517,6 +534,24 @@ class TestOneThread:
 
 
 class TestChaosCommand:
+    def test_empty_start_is_built_once_per_cell(self, tmp_path, monkeypatch):
+        # it was built for each of the 60 replications
+        built = []
+        empty = podd.cli.Configuration.empty
+
+        def counted(n):
+            built.append(n)
+            return empty(n)
+
+        monkeypatch.setattr(podd.cli.Configuration, "empty", counted)
+        cfg = write_config(tmp_path, {"kind": "chaos", "N": [6], "D": [2],
+                                      "lambda": [0.5], "t": [0.5, 1.0],
+                                      "k": [1], "l": [1], "replications": 30,
+                                      "seed": 1})
+        assert main(["chaos", "--config", cfg, "--out",
+                     str(tmp_path / "ch"), "--workers", "1"]) == 0
+        assert built == [6, 6]
+
     def test_cells_without_room_for_the_bound_are_skipped(self, tmp_path):
         # chaos_bound needs N > D: a D = N cell ran its replications and then
         # stopped the run with a traceback (exit 1)

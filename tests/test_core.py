@@ -11,6 +11,29 @@ from podd.core import (Configuration, Discipline, FIFO, LIFO_PR, PS,
                        tail_counts_from_lengths)
 
 
+def variance(dist: ServiceDistribution) -> float:
+    """The analytic variance of a mean-1 service distribution."""
+    if dist.kind == "exponential":
+        return 1.0
+    if dist.kind == "deterministic":
+        return 0.0
+    if dist.kind == "erlang":
+        (shape,) = dist.params
+        return 1.0 / shape
+    if dist.kind == "hyperexponential":
+        weights, rates = dist.params
+        second = sum(2.0 * w / (r * r) for w, r in zip(weights, rates))
+        return second - 1.0
+    if dist.kind == "lognormal":
+        (sigma,) = dist.params
+        return math.exp(sigma * sigma) - 1.0
+    if dist.kind == "weibull":
+        (shape,) = dist.params
+        scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
+        return scale * scale * math.gamma(1.0 + 2.0 / shape) - 1.0
+    raise ValueError(f"unknown distribution kind {dist.kind!r}")
+
+
 def config_from_lengths(lengths):
     return Configuration.from_lengths(
         lengths, ServiceDistribution.exponential(), RngStream(0))
@@ -126,11 +149,11 @@ class TestServiceDistributions:
         gen = RngStream(12).child("var").generator()
         x = ServiceDistribution.erlang(4).sample(gen, 10**6)
         assert abs(x.var() - 0.25) < 0.01
-        assert ServiceDistribution.erlang(4).variance() == 0.25
+        assert variance(ServiceDistribution.erlang(4)) == 0.25
 
     def test_hyperexponential_cv2(self):
         d = ServiceDistribution.hyperexponential_cv2(4.0)
-        assert abs(d.variance() - 4.0) < 1e-9
+        assert abs(variance(d) - 4.0) < 1e-9
         gen = RngStream(13).generator()
         x = d.sample(gen, 10**6)
         assert abs(x.mean() - 1.0) < 0.02
@@ -139,7 +162,7 @@ class TestServiceDistributions:
     def test_sample_mean_matches(self, dist):
         gen = RngStream(14).child(dist.kind).generator()
         x = dist.sample(gen, 200_000)
-        tol = 0.01 + 0.02 * math.sqrt(max(dist.variance(), 1.0))
+        tol = 0.01 + 0.02 * math.sqrt(max(variance(dist), 1.0))
         assert abs(float(np.mean(x)) - 1.0) < tol
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)

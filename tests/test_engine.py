@@ -222,7 +222,7 @@ class TestPsClock:
             return log.departures
 
         got = departures()
-        monkeypatch.setitem(engine._KERNELS, "PS", _ResidualPs)
+        monkeypatch.setitem(engine._KERNELS, PS, _ResidualPs)
         want = departures()
         assert len(got) == len(want) > 100
         assert [s for _, s in got] == [s for _, s in want]

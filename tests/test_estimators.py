@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,37 @@ from hypothesis import given, strategies as st
 
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
 from podd.engine import run
-from podd.estimators import (cov_mk, fit_exp_decay, pair_covariance,
-                             stationary_tail, z_value)
+from podd.estimators import cov_mk, pair_covariance, stationary_tail, z_value
 
 EXP = ServiceDistribution.exponential()
 DET = ServiceDistribution.deterministic()
+
+
+@dataclass(frozen=True)
+class FitResult:
+    amplitude: float
+    rate: float
+    r_squared: float
+
+
+def fit_exp_decay(ts, values) -> FitResult:
+    """Least-squares fit of values ~ amplitude * exp(-rate * t).
+
+    Fits log(values) against t; requires at least 5 strictly positive points.
+    """
+    ts = np.asarray(ts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if ts.size != values.size or ts.size < 5:
+        raise ValueError("need at least 5 (t, value) points")
+    if (values <= 0).any():
+        raise ValueError("values must be strictly positive for a log fit")
+    y = np.log(values)
+    slope, intercept = np.polyfit(ts, y, 1)
+    pred = slope * ts + intercept
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return FitResult(math.exp(intercept), -slope, r2)
 
 
 def replicate(n, d, lam, t, reps, seed, disc=FIFO, dist=EXP, init=None,

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -13,10 +14,32 @@ from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         chaos_bound_limit, clan_growth_factor,
                         clan_intersection_bound, clan_size_bound,
                         limit_bound_is_valid, monotone_threshold,
-                        selection_sum, tail_count_cov_bound,
-                        uniform_rate_bound)
+                        tail_count_cov_bound, uniform_rate_bound)
 
 HALF = Fraction(1, 2)
+
+
+def selection_sum(d: int, a: int, b: int):
+    """Sum over split points of falling-factorial products of a and b.
+
+    Term i multiplies the first i falling factors of a with the trailing
+    d-1-i factors of b; it satisfies d! * C(b,d) = d! * C(a,d)
+    + (b-a) * selection_sum(d, a, b), which is how the closed-form rate
+    collapses to a difference of binomials.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if not 0 <= a < b:
+        raise ValueError("need 0 <= a < b")
+    total = 0
+    for i in range(d):
+        term = 1
+        for j in range(i):
+            term *= a - j
+        for j in range(i + 1, d):
+            term *= b - j
+        total += term
+    return total
 
 
 def rate(kernel, lam, *args):
@@ -248,6 +271,27 @@ class TestClanBounds:
         assert clan_intersection_bound(inp) > 0
         assert chaos_bound(inp) > 0
         assert tail_count_cov_bound(inp) > 0
+
+    @pytest.mark.parametrize("t", [352.0, 354.0])
+    def test_log_bracket_past_float_range(self, t):
+        # n u passes the float range though u does not; against the bounds
+        # in 60-digit decimal arithmetic
+        n, d = 2000, 2
+        inp = BoundInputs(n, d, 0.5, t)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            u = (2 ** (d - 1) * Decimal("0.5") * d * n * Decimal(t)
+                 / (n - d)).exp()
+            bracket = (n * ((n + u - 1) / n).ln()
+                       - (n - 1) * (u - 1) / (n + u - 1))
+            lift = Decimal("1.5") ** d * n / (n - d) * bracket
+            intersect = float(lift)
+            tail = float(2 * n * (n - 1) * lift + n)
+        assert math.isclose(clan_intersection_bound(inp), intersect,
+                            rel_tol=1e-12)
+        assert math.isclose(chaos_bound(inp), 1 / n + 2 * intersect,
+                            rel_tol=1e-12)
+        assert math.isclose(tail_count_cov_bound(inp), tail, rel_tol=1e-12)
 
     def test_needs_room(self):
         with pytest.raises(ValueError):

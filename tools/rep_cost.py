@@ -8,18 +8,22 @@ exponential service, empty start, for t = 1e-9 and t = 1; the two
 replications of a `tagged` cell at N=200, D=2, lambda=0.5, t=2:
 `_run_rep` with no sample time and `podd.cli._cavity_rep`; and
 `podd.cli._coupled_rep` at N=100, D=2, lambda=0.5, horizon 4 (the
-`many-reps` benchmark's sizes).  At t = 1e-9 no event happens, so that time
-is a replication's fixed cost: streams, draw buffers, kernel, snapshot.
-Each line gives the best, over REPEAT passes of REPS replications (REPS // 5
-for the tagged N=200 system and for coupled), of the mean time per
-replication in microseconds.  The host's
-load moves these numbers; compare two checkouts by alternating runs.
+`many-reps` benchmark's sizes).  Tasks are built with the CLI's own task
+builders (`_run_tasks`, `_reps`), so the other checkout must have them; an
+empty start is built once per cell, outside the timed loop, as the CLI
+builds it.  At t = 1e-9 no event happens, so that time is a replication's
+fixed cost: streams, draw buffers, kernel, snapshot.  Each line gives the
+best, over REPEAT passes of REPS replications (REPS // 5 for the tagged
+N=200 system and for coupled), of the mean time per replication in
+microseconds.  The host's load moves these numbers; compare two checkouts
+by alternating runs.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,35 +46,32 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(SRC), help="the src/ to import podd from")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
-    from podd.cli import _cavity_rep, _coupled_rep, _run_rep, parse_config
-    from podd.core import RngStream
+    from podd.cli import (_cavity_rep, _coupled_rep, _reps, _run_rep,
+                          _run_tasks, _shared_start, parse_config)
 
-    root = RngStream(1)
+    # tasks are built as the drivers build them: replication r of label L
+    # draws from RngStream(1).child(L, r)
     chaos = parse_config({"kind": "chaos", "N": [200], "D": [2],
                           "lambda": [0.5], "t": [1.0], "k": [0], "l": [0],
-                          "replications": 30, "seed": 1})
+                          "replications": REPS, "seed": 1})
     for t in (1e-9, 1.0):
-        tasks = [(200, 2, 0.5, t, [t], chaos, root.child("chaos", r))
-                 for r in range(REPS)]
-        us = best_mean_us(_run_rep, tasks)
+        us = best_mean_us(_run_rep,
+                          _run_tasks(chaos, "chaos", 200, 2, 0.5, t, [t]))
         print(f"chaos N=200 t={t:g}: {us:.0f} us per replication")
     tagged = parse_config({"kind": "tagged", "N": [200], "D": [2],
-                           "lambda": [0.5], "t": [2.0], "replications": 1,
-                           "seed": 1})
-    tasks = [(200, 2, 0.5, 2.0, [], tagged, root.child("tagged", r))
-             for r in range(REPS // 5)]
-    us = best_mean_us(_run_rep, tasks)
+                           "lambda": [0.5], "t": [2.0],
+                           "replications": REPS // 5, "seed": 1})
+    us = best_mean_us(_run_rep,
+                      _run_tasks(tagged, "tagged", 200, 2, 0.5, 2.0, []))
     print(f"tagged N=200 t=2: {us:.0f} us per replication")
-    tasks = [(2, 0.5, 2.0, tagged, root.child("cavity", r))
-             for r in range(REPS)]
-    us = best_mean_us(_cavity_rep, tasks)
+    cavity = replace(tagged, replications=REPS)
+    us = best_mean_us(_cavity_rep, _reps(cavity, "cavity", 2, 0.5, 2.0, cavity))
     print(f"tagged cavity t=2: {us:.0f} us per replication")
     coupled = parse_config({"kind": "coupled", "N": [100], "D": [2],
                             "lambda": [0.5], "horizon": 4.0,
-                            "replications": 1, "seed": 1})
-    tasks = [(100, 2, 0.5, coupled, root.child("coupled", r))
-             for r in range(REPS // 5)]
-    us = best_mean_us(_coupled_rep, tasks)
+                            "replications": REPS // 5, "seed": 1})
+    us = best_mean_us(_coupled_rep, _reps(coupled, "coupled", 100, 2, 0.5,
+                                          coupled, _shared_start(coupled, 100)))
     print(f"coupled N=100 horizon=4: {us:.0f} us per replication")
     return 0
 
