@@ -284,9 +284,9 @@ class TestClanBounds:
                  / (n - d)).exp()
             bracket = (n * ((n + u - 1) / n).ln()
                        - (n - 1) * (u - 1) / (n + u - 1))
-            lift = Decimal("1.5") ** d * n / (n - d) * bracket
-            intersect = float(lift)
-            tail = float(2 * n * (n - 1) * lift + n)
+            bound = Decimal("1.5") ** d * n / (n - d) * bracket
+            intersect = float(bound)
+            tail = float(2 * n * (n - 1) * bound + n)
         assert math.isclose(clan_intersection_bound(inp), intersect,
                             rel_tol=1e-12)
         assert math.isclose(chaos_bound(inp), 1 / n + 2 * intersect,
