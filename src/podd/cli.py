@@ -34,8 +34,9 @@ from .rates import (BoundInputs, PLUS_ONE_SHIFT, arrival_rate_closed,
                     arrival_rate_hyper, arrival_rate_plus_one,
                     asymptotic_tail, chaos_bound, chaos_bound_limit,
                     clan_growth_factor, clan_intersection_bound,
-                    clan_size_bound, limit_bound_is_valid, monotone_threshold,
-                    tail_count_cov_bound, uniform_rate_bound)
+                    clan_size_bound, exact_dtype, limit_bound_is_valid,
+                    monotone_threshold, tail_count_cov_bound,
+                    uniform_rate_bound)
 
 INIT_PROFILES = ("empty", "all-at-2", "geometric")
 
@@ -401,50 +402,62 @@ def _run_bounds(spec, out_dir, pool):
     return 0
 
 
+# "0,1,..." for each value of six 0/1 columns packed as bits, bit 0 first
+_FLAG_FIELDS = [",".join(str(v >> i & 1) for i in range(6)) for v in range(64)]
+
+
 def _run_rates_check(spec, out_dir, pool):
     # Every rate is lam * P / Q with Q > 0 and lam > 0, so two rates at one
-    # load compare exactly as P1 * Q2 against P2 * Q1.
-    rows = []
+    # load compare exactly as P1 * Q2 against P2 * Q1, and no check depends
+    # on the load: each kernel runs once per (N, D) cell, on every
+    # (pi_k, pi_k1) row of it at once, in the cell's `exact_dtype`.
     failures = 0
-    for n, d, lam in _cells(spec, "N", "D", "lam"):
-        lam_q = _exact_load(lam)
-        lam_p, lam_r = lam_q.numerator, lam_q.denominator
-        lam_s = _fmt(lam)
-        ub_p, ub_q = uniform_rate_bound(d)
-        gate_above = d >= 2 and n >= monotone_threshold(d)
-        for pi_k in range(1, n + 1):
-            for pi_k1 in range(pi_k):
-                cp, cq = arrival_rate_closed(n, d, pi_k, pi_k1)
-                hp, hq = arrival_rate_hyper(n, d, pi_k, pi_k1)
-                identity_ok = cp * hq == hp * cq
-                uniform_ok = cp * ub_q <= ub_p * cq
-                consistency_ok = True
-                mono = {}
-                for rel, (up_k, up_k1) in PLUS_ONE_SHIFT.items():
-                    pp, pq = arrival_rate_plus_one(n, d, pi_k, pi_k1, rel)
-                    ap, aq = arrival_rate_closed(n + 1, d, pi_k + up_k,
-                                                 pi_k1 + up_k1)
-                    if ap * pq != pp * aq:
-                        consistency_ok = False
-                    mono[rel] = pp * cq >= cp * pq
-                # gate on the comparisons that hold identically; the equal
-                # and below relations can genuinely decrease the rate and are
-                # reported as columns instead
-                gated = identity_ok and uniform_ok and consistency_ok
-                if gate_above:
-                    gated = gated and mono["above"]
-                if not gated:
-                    failures += 1
-                # int / int is correctly rounded, as float(Fraction) is
-                rows.append([n, d, lam_s, pi_k, pi_k1,
-                             repr(lam_p * cp / (lam_r * cq)), int(identity_ok),
-                             int(uniform_ok), int(consistency_ok),
-                             int(mono["above"]), int(mono["equal"]),
-                             int(not mono["below"])])
-    _write_csv(os.path.join(out_dir, "rates_check.csv"),
-               ["N", "D", "lambda", "pi_k", "pi_k1", "rate", "identity_ok",
-                "uniform_ok", "consistency_ok", "monotone_above",
-                "monotone_equal", "below_decrease"], rows)
+    with open(os.path.join(out_dir, "rates_check.csv"), "w",
+              newline="") as fh:
+        fh.write("N,D,lambda,pi_k,pi_k1,rate,identity_ok,uniform_ok,"
+                 "consistency_ok,monotone_above,monotone_equal,"
+                 "below_decrease\r\n")
+        for n, d in _cells(spec, "N", "D"):
+            dtype = exact_dtype(n, d)
+            pi_k, pi_k1 = (a.astype(dtype)
+                           for a in np.tril_indices(n + 1, -1))
+            ub_p, ub_q = uniform_rate_bound(d)
+            cp, cq = arrival_rate_closed(n, d, pi_k, pi_k1)
+            hp, hq = arrival_rate_hyper(n, d, pi_k, pi_k1)
+            identity_ok = cp * hq == hp * cq
+            uniform_ok = cp * ub_q <= ub_p * cq
+            consistency_ok = True
+            mono = {}
+            for rel, (up_k, up_k1) in PLUS_ONE_SHIFT.items():
+                pp, pq = arrival_rate_plus_one(n, d, pi_k, pi_k1, rel)
+                ap, aq = arrival_rate_closed(n + 1, d, pi_k + up_k,
+                                             pi_k1 + up_k1)
+                consistency_ok = consistency_ok & (ap * pq == pp * aq)
+                mono[rel] = pp * cq >= cp * pq
+            # gate on the comparisons that hold identically; the equal and
+            # below relations can genuinely decrease the rate and are
+            # reported as columns instead
+            gated = identity_ok & uniform_ok & consistency_ok
+            if d >= 2 and n >= monotone_threshold(d):
+                gated = gated & mono["above"]
+            failures += len(spec.lam) * int(np.count_nonzero(~gated))
+            # the six flag columns of each row, as one number whose bit i
+            # is column i, and so as one entry of _FLAG_FIELDS
+            flags = np.packbits(np.stack(
+                [identity_ok, uniform_ok, consistency_ok, mono["above"],
+                 mono["equal"], ~mono["below"]], axis=1),
+                axis=1, bitorder="little")[:, 0]
+            cols = [a.tolist() for a in (pi_k, pi_k1, cp, cq, flags)]
+            for lam in spec.lam:
+                lam_q = _exact_load(lam)
+                lam_p, lam_r = lam_q.numerator, lam_q.denominator
+                # No field needs quoting, so one format string per cell
+                # writes what csv.writer would; int / int is correctly
+                # rounded, as float(Fraction) is, and %r writes it as _fmt
+                row = f"{n},{d},{_fmt(lam)},%d,%d,%r,%s\r\n"
+                fh.write("".join([
+                    row % (k, k1, lam_p * p / (lam_r * q), _FLAG_FIELDS[f])
+                    for k, k1, p, q, f in zip(*cols)]))
     return 1 if failures else 0
 
 

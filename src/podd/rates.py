@@ -1,16 +1,35 @@
 """Closed-form arrival rates and correlation bounds for JSQ(D) systems.
 
-Every function here is a pure function of scalar inputs.  Each rate formula
-is one function of (n, d, pi_k, pi_k1) as ints that reduces its combinatorial
-sum to one ratio of Python ints (P, Q) with Q > 0 (the 1/i terms share the
-denominator lcm(1..d)), so the rate at load lam is lam * P / Q.  The rate
-functions check nothing: callers keep 1 <= d <= n and
-0 <= pi_k1 < pi_k <= n.  Since lam > 0 scales both sides, two rates at one
-load compare exactly as P1 * Q2 against P2 * Q1.  lam * Fraction(P, Q) is the
-rate exactly for a `Fraction` load, which the test suite uses as its
-arbitrary-precision oracle; for a float load, lam * (P / Q) rounds the ratio
-once to the nearest float and then multiplies by lam, so it is within two
-roundings (relative error below 2.3e-16) of the exact rate at that load.
+Every function here is a pure function of its inputs.  Each rate formula is
+one function of (n, d, pi_k, pi_k1) that reduces its combinatorial sum to one
+ratio (P, Q) with Q > 0 (the 1/i terms share the denominator L = lcm(1..d)),
+so the rate at load lam is lam * P / Q.  n and d are ints; pi_k and pi_k1 are
+ints, giving P and Q as Python ints, or integer arrays of one shape, on which
+the same formula runs elementwise (`_comb` looks C(x, r) up in a cached
+table) and gives P and Q in the arrays' dtype.  The rate functions check
+nothing: callers keep 1 <= d <= n and 0 <= pi_k1 < pi_k <= n.  Since lam > 0
+scales both sides, two rates at one load compare exactly as P1 * Q2 against
+P2 * Q1.  lam * Fraction(P, Q) is the rate exactly for a `Fraction` load,
+which the test suite uses as its arbitrary-precision oracle; for a float
+load, lam * (P / Q) rounds the ratio once to the nearest float and then
+multiplies by lam, so it is within two roundings (relative error below
+2.3e-16) of the exact rate at that load.
+
+An int64 array wraps silently on overflow, so `exact_dtype(n, d)` picks int64
+for a cell only where the bound below keeps every value under 2**63, and
+dtype object (Python ints, exact at any size) elsewhere.  With C = C(n+1, d),
+every term the formulas add is non-negative, so each partial sum is at most
+the P or Q it builds, and by Vandermonde's identity:
+- closed form, n servers: P, Q <= n C(n, d) <= n C; at n+1: P, Q <= (n+1) C;
+- hypergeometric form: P <= n L C(pi_k - 1, d - 1) <= n L C, Q = L C(n, d);
+- (n+1)-system form: Q <= n L C(n, d) and, as its extra sum is at most
+  L C(pi_k - 1, d - 2) and (n-d+1) n C(n-1, d-2) = d (d-1) C(n, d),
+  P <= L C(n, d) (n + (d-1)^2) <= n (n+1) L C.
+So every cross product of two rates is at most n (n+1)^2 L C^2, and one with
+the uniform bound (d^d, (d-1)!) at most d^d (n+1) C.  A comb-table entry is
+C(v, r) with v <= n+1 and r <= d: at most C where 2d <= n+1, and elsewhere at
+most 2^(n+1) <= 2^(d-1) 4^k <= L C^2 with k = n+1-d >= 1, as
+lcm(1..d) >= 2^(d-1) and C = C(n+1, k) >= 2^k.
 """
 from __future__ import annotations
 
@@ -18,6 +37,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import comb
+
+import numpy as np
 
 # Shift of (pi_k, pi_k1) when the (n+1)-th server is counted at its position
 # relative to the tagged level: below it, at it or above it.
@@ -51,6 +72,29 @@ def _lcm_upto(d: int) -> int:
     return math.lcm(*range(1, d + 1))
 
 
+@lru_cache(maxsize=256)
+def _comb_table(r: int, size: int, dtype: np.dtype) -> np.ndarray:
+    return np.array([comb(v, r) for v in range(size)], dtype=dtype)
+
+
+def _comb(x, r: int):
+    """C(x, r) for an int x >= 0, or elementwise, in x's dtype, for an
+    array x of ints >= 0 (int64, or object holding Python ints)."""
+    if not isinstance(x, np.ndarray):
+        return comb(x, r)
+    idx = x.astype(np.intp, copy=False)
+    return _comb_table(r, int(idx.max(initial=0)) + 1, x.dtype)[idx]
+
+
+def exact_dtype(n: int, d: int) -> np.dtype:
+    """The dtype in which every value the rates of the (n, d) cell and their
+    cross products take stays exact: int64 where the module docstring's
+    bounds are below 2**63, else object (Python ints)."""
+    c = comb(n + 1, d)
+    bound = max(n * (n + 1) ** 2 * _lcm_upto(d) * c * c, d**d * (n + 1) * c)
+    return np.dtype(np.int64 if bound < 2**63 else object)
+
+
 def arrival_rate_hyper(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]:
     """Arrival rate to the tagged server, as the explicit sum over how many of
     the d sampled servers sit at the tagged level (hypergeometric weights).
@@ -62,7 +106,7 @@ def arrival_rate_hyper(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int]
     top = _lcm_upto(d)      # sum_i w_i / i = total / top
     total = 0
     for i in range(1, d + 1):
-        total += comb(gap - 1, i - 1) * comb(pi_k1, d - i) * (top // i)
+        total += _comb(gap - 1, i - 1) * _comb(pi_k1, d - i) * (top // i)
     return n * total, comb(n, d) * top
 
 
@@ -70,7 +114,7 @@ def arrival_rate_closed(n: int, d: int, pi_k: int, pi_k1: int) -> tuple[int, int
     """Same rate via the binomial-difference form, valid for every admissible
     occupancy under the convention C(n, r) = 0 outside 0 <= r <= n; (P, Q)
     with the rate lam * P / Q."""
-    return n * (comb(pi_k, d) - comb(pi_k1, d)), comb(n, d) * (pi_k - pi_k1)
+    return n * (_comb(pi_k, d) - _comb(pi_k1, d)), comb(n, d) * (pi_k - pi_k1)
 
 
 def uniform_rate_bound(d: int) -> tuple[int, int]:
@@ -109,7 +153,7 @@ def arrival_rate_plus_one(n: int, d: int, pi_k: int, pi_k1: int,
     lam * (n-d+1) * (Delta/g + E) / C(n, d).
     """
     gap = pi_k - pi_k1
-    delta = comb(pi_k, d) - comb(pi_k1, d)
+    delta = _comb(pi_k, d) - _comb(pi_k1, d)
     if relation == "below":
         return (n - d + 1) * delta, comb(n, d) * gap
     top = _lcm_upto(d)      # E = extra / top
@@ -117,10 +161,12 @@ def arrival_rate_plus_one(n: int, d: int, pi_k: int, pi_k1: int,
     if relation == "above":
         # i = d would need C(pi_k1, -1), which vanishes by convention
         for i in range(1, d):
-            extra += comb(gap - 1, i - 1) * comb(pi_k1, d - 1 - i) * (top // i)
+            extra += (_comb(gap - 1, i - 1) * _comb(pi_k1, d - 1 - i)
+                      * (top // i))
     elif relation == "equal":
         for i in range(2, d + 1):
-            extra += comb(gap - 1, i - 2) * comb(pi_k1, d - i) * (top // i)
+            extra += (_comb(gap - 1, i - 2) * _comb(pi_k1, d - i)
+                      * (top // i))
     else:
         raise ValueError(f"relation must be one of {tuple(PLUS_ONE_SHIFT)}")
     return ((n - d + 1) * (delta * top + extra * gap),
@@ -150,15 +196,19 @@ def _inf_past_float_range(bound):
     return checked
 
 
+def _growth_exponent(inp: BoundInputs) -> float:
+    # ldexp scales by 2^(d-1) exactly; the int 2 ** (d - 1) is past the
+    # float range from d = 1025, even at t = 0
+    return math.ldexp(inp.lam * inp.d * inp.n * inp.t / (inp.n - inp.d),
+                      inp.d - 1)
+
+
 @_inf_past_float_range
 def clan_growth_factor(inp: BoundInputs) -> float:
     """Exponential envelope exp(2^(d-1) * lam * d * n * t / (n-d)) driving the
     clan-size logistic bound."""
     _require_room(inp)
-    # ldexp scales by 2^(d-1) exactly; the int 2 ** (d - 1) is past the
-    # float range from d = 1025, even at t = 0
-    return math.exp(math.ldexp(
-        inp.lam * inp.d * inp.n * inp.t / (inp.n - inp.d), inp.d - 1))
+    return math.exp(_growth_exponent(inp))
 
 
 def clan_size_bound(inp: BoundInputs) -> float:
@@ -172,14 +222,16 @@ def clan_size_bound(inp: BoundInputs) -> float:
 
 
 def _log_bracket(inp: BoundInputs) -> float:
-    u = clan_growth_factor(inp)
+    """n ln((n+u-1)/n) - (n-1)(u-1)/(n+u-1) for the growth factor u, as
+    n ln(1 + x/n) - (n-1)/(1 + n/x) in x = u - 1 taken from `math.expm1`:
+    where u is near 1, u - 1 and ln of a ratio near 1 would lose most of
+    their digits, and where n u passes the float range no step here does.
+    Raises OverflowError where u is past the float range."""
+    x = math.expm1(_growth_exponent(inp))
+    if x == 0.0:    # t = 0
+        return 0.0
     n = inp.n
-    if math.isinf(n * u):
-        # n u and (n - 1)(u - 1) pass the float range, so divide by n and by
-        # u - 1 first; inf when u is
-        return (n * math.log(u / n + (n - 1.0) / n)
-                - (n - 1.0) / (1.0 + n / (u - 1.0)))
-    return n * math.log((n + u - 1.0) / n) - (n - 1.0) * (u - 1.0) / (n + u - 1.0)
+    return n * math.log1p(x / n) - (n - 1.0) / (1.0 + n / x)
 
 
 @_inf_past_float_range

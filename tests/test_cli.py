@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -214,13 +215,14 @@ class TestExitCodes:
         assert all(r["monotone_above"] == "1" for r in rows)
 
     def test_rates_check_identity_off_by_one_is_1(self, tmp_path, monkeypatch):
-        # one unit more in the hyper numerator on one cell must fail that row
+        # one unit more in the hyper numerator on one row must fail that
+        # row; the kernel gets every row of a cell as arrays
         import podd.cli
         real = podd.cli.arrival_rate_hyper
 
         def skewed(n, d, pi_k, pi_k1):
             p, q = real(n, d, pi_k, pi_k1)
-            return (p + 1, q) if (pi_k, pi_k1) == (4, 1) else (p, q)
+            return p + ((pi_k == 4) & (pi_k1 == 1)), q
 
         monkeypatch.setattr(podd.cli, "arrival_rate_hyper", skewed)
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6],
@@ -240,8 +242,8 @@ class TestExitCodes:
 
         def skewed(n, d, pi_k, pi_k1, relation):
             p, q = real(n, d, pi_k, pi_k1, relation)
-            hit = (n, pi_k, pi_k1, relation) == (6, 4, 1, "equal")
-            return (p + 1, q) if hit else (p, q)
+            hit = (n, relation) == (6, "equal")
+            return p + (hit & (pi_k == 4) & (pi_k1 == 1)), q
 
         monkeypatch.setattr(podd.cli, "arrival_rate_plus_one", skewed)
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6, 7],
@@ -286,6 +288,103 @@ class TestExitCodes:
         assert code == 1
         assert [ok for _, ok in skewed] == [
             "0" if d == "1" else "1" for d, _ in clean]
+
+
+class _Peak(np.ndarray):
+    """An array whose ufuncs record in `largest` the largest magnitude of
+    every operand and result they see; ufuncs on plain arrays do not."""
+
+    largest = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _Peak) else a
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+        args = [plain(a) for a in inputs]
+        result = getattr(ufunc, method)(*args, **kwargs)
+        for a in (*args, result):
+            size = (int(np.abs(a).max(initial=0))
+                    if isinstance(a, np.ndarray) else abs(int(a)))
+            _Peak.largest = max(_Peak.largest, size)
+        return (result.view(_Peak) if isinstance(result, np.ndarray)
+                else result)
+
+
+class TestRatesCheckDtype:
+    """rates-check compares rates in int64 only where `exact_dtype`'s bound
+    keeps every value below 2**63, where int64 would otherwise wrap."""
+
+    def test_int64_cells_stay_below_2_63(self, tmp_path, monkeypatch):
+        # every (n, d) cell with n <= 60 and d <= 20 that the rule sends to
+        # int64, run by the CLI in Python ints, with every array operation
+        # inside the kernels and in the check recorded: each kernel gets
+        # its occupancy arrays, and `_comb` gives its result, as a _Peak.
+        # At lambda = 1/2 the rate column's lam_p P and lam_r Q are at
+        # most 2 Q, so they stay in range too.
+        import podd.rates
+
+        def peak_args(kernel):
+            def wrapped(n, d, pi_k, pi_k1, *rest):
+                return kernel(n, d, pi_k.astype(object).view(_Peak),
+                              pi_k1.astype(object).view(_Peak), *rest)
+            return wrapped
+
+        real_comb = podd.rates._comb
+        monkeypatch.setattr(podd.rates, "_comb",
+                            lambda x, r: real_comb(x, r).view(_Peak))
+        for name in ("arrival_rate_closed", "arrival_rate_hyper",
+                     "arrival_rate_plus_one"):
+            monkeypatch.setattr(podd.cli, name,
+                                peak_args(getattr(podd.cli, name)))
+        monkeypatch.setattr(_Peak, "largest", 0)
+        cells = 0
+        for n in range(2, 61):
+            ds = [d for d in range(1, min(n, 20) + 1)
+                  if podd.cli.exact_dtype(n, d) == np.int64]
+            cells += len(ds)
+            spec = parse_config({"kind": "rates-check", "N": [n], "D": ds,
+                                 "lambda": [0.5], "seed": 0})
+            assert run_experiment(spec, str(tmp_path / str(n))) == 0
+        # the largest value comes within a factor of 4 of the limit
+        assert 2**61 < _Peak.largest < 2**63
+        assert cells == 382
+
+    def test_exact_workload_takes_int64(self, monkeypatch):
+        # the benchmark's exact workload runs every cell of its rates-check
+        # config in int64; Python ints there would forfeit most of the
+        # array path's gain
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        [doc] = [doc for kind, doc in workloads.configs("exact", 0)
+                 if kind == "rates-check"]
+        cells = list(podd.cli._cells(parse_config(doc), "N", "D"))
+        assert len(cells) == 149
+        assert {podd.cli.exact_dtype(n, d) for n, d in cells} == {
+            np.dtype(np.int64)}
+
+    def test_cells_run_in_the_rule_dtype(self, tmp_path, monkeypatch):
+        # the kernels get each cell's rows in `exact_dtype(n, d)`: (16, 5)
+        # is an int64 cell, (16, 14) a Python-int one
+        seen = []
+        real = podd.cli.arrival_rate_hyper
+
+        def spy(n, d, pi_k, pi_k1):
+            seen.append((n, d, pi_k.dtype, pi_k1.dtype, pi_k.size))
+            return real(n, d, pi_k, pi_k1)
+
+        monkeypatch.setattr(podd.cli, "arrival_rate_hyper", spy)
+        spec = parse_config({"kind": "rates-check", "N": [16], "D": [5, 14],
+                             "lambda": [0.5], "seed": 0})
+        assert run_experiment(spec, str(tmp_path)) == 0
+        int64, obj = np.dtype(np.int64), np.dtype(object)
+        assert seen == [(16, 5, int64, int64, 136), (16, 14, obj, obj, 136)]
 
 
 class TestBounds:
@@ -601,16 +700,24 @@ class TestPinnedDigests:
           "lambda": [0.3, 0.7071067811865476], "seed": 0},
          {"rates_check.csv":
           "e5ee08ec0d7f1f72bf60c6a9f054225ba28eed38e12c21e2b671faae22557cc6"}),
+        # cells on both sides of `exact_dtype`'s rule: (16, 5) and (20, 5)
+        # in int64, the rest in Python ints; (16, 14) overflows int64 in
+        # a rule that leaves out the uniform bound's d^d
+        ("rates-check-wide",
+         {"kind": "rates-check", "N": [16, 20, 45], "D": [5, 14, 15],
+          "lambda": [0.5, 0.3], "seed": 0},
+         {"rates_check.csv":
+          "9209e38ea227f424c7948a65d0a336e8f50557fa20cc48f0abb233053cb74d1a"}),
         ("clan",
          {"kind": "clan", "N": [10, 50], "D": [2, 3], "lambda": [0.5],
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 7},
          {"clan.csv":
-          "65100e4df430bc8206efeb70e7122faadac76086b66c8af2d303f201f7bf38d5"}),
+          "2fe49ee12b1ed2d4161b27ee7f065d642578611fc3f22702d1fb34df8a1fc7dc"}),
         ("clan-past-bit-63",
          {"kind": "clan", "N": [100, 200], "D": [2, 3], "lambda": [0.5],
           "t": [0.25, 0.5, 1.0], "replications": 200, "seed": 8},
          {"clan.csv":
-          "10857bfd7127accab13f8959b7edf2f6a231d669fd187bb9798be31afa94a7ba"}),
+          "ce29b1f0bd70691756dec0be6a14634dc88b11ba1b8ae348b042a9e18b1d1f04"}),
         ("simulate-ps-hyperexp",
          {"kind": "simulate", "N": [20], "D": [2], "lambda": [0.9],
           "horizon": 250.0, "replications": 2, "seed": 21,
@@ -655,7 +762,7 @@ class TestPinnedDigests:
           "k": [0, 1, 2], "l": [0, 1], "replications": 50, "seed": 25,
           "discipline": "PS"},
          {"chaos.csv":
-          "75a7ff3f7979c52853cfe3424a7f95a845e0908963cdba9592bd725c5e9a309c"}),
+          "cd64a322e9e289f45ccb957106c23074d85b4f1f2fd4aa3130f8d0f3b2edc523"}),
         ("tagged-ps",
          {"kind": "tagged", "N": [20], "D": [2], "lambda": [0.5], "t": [2.0],
           "replications": 50, "seed": 26, "discipline": "PS"},
@@ -681,7 +788,7 @@ class TestPinnedDigests:
           "t": [0.5, 1.0], "k": [0, 1], "l": [1, 2], "replications": 30,
           "seed": 32},
          {"chaos.csv":
-          "d0994a0b366c2fe79811ff5be8ab27e071f94e3aeb219d588d7f8dda2c27cab6"}),
+          "53acd671a7f457512e25b8990028396ba1ea4db9b3d075713c353b229da62d6d"}),
         ("tagged-grid",
          {"kind": "tagged", "N": [2, 10, 20], "D": [2, 3],
           "lambda": [0.5, 0.7], "t": [1.0, 2.0], "replications": 30,

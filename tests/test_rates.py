@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,9 @@ from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         asymptotic_tail, cavity_rate, chaos_bound,
                         chaos_bound_limit, clan_growth_factor,
                         clan_intersection_bound, clan_size_bound,
-                        limit_bound_is_valid, monotone_threshold,
-                        tail_count_cov_bound, uniform_rate_bound)
+                        exact_dtype, limit_bound_is_valid,
+                        monotone_threshold, tail_count_cov_bound,
+                        uniform_rate_bound)
 
 HALF = Fraction(1, 2)
 
@@ -109,6 +111,37 @@ class TestArrivalRate:
             via_sum = (HALF * n * selection_sum(d, pk1, pk)
                        * Fraction(factorial(n - d), factorial(n)))
             assert rate(arrival_rate_closed, HALF, n, d, pk, pk1) == via_sum
+
+
+class TestArrayKernels:
+    """On integer arrays the kernels give, element by element, the ints they
+    give on each row as ints: in int64 where `exact_dtype` allows it, and
+    in Python ints (dtype object) at any (n, d)."""
+
+    @given(st.integers(2, 20), st.integers(1, 20),
+           st.sampled_from(["closed", "hyper", *PLUS_ONE_SHIFT]))
+    def test_array_call_is_scalar_call(self, n, d, form):
+        d = min(d, n)
+        if form in PLUS_ONE_SHIFT:
+            def kernel(*args):
+                return arrival_rate_plus_one(*args, form)
+        else:
+            kernel = {"closed": arrival_rate_closed,
+                      "hyper": arrival_rate_hyper}[form]
+        rows = np.tril_indices(n + 1, -1)
+        want = [kernel(n, d, k, k1) for k, k1 in zip(*(a.tolist() for a in rows))]
+        for dtype in {exact_dtype(n, d), np.dtype(object)}:
+            p, q = kernel(n, d, *(a.astype(dtype) for a in rows))
+            assert all(v.dtype == dtype for v in (p, q)
+                       if isinstance(v, np.ndarray))
+            assert list(zip(*(np.broadcast_to(v, rows[0].shape).tolist()
+                              for v in (p, q)))) == want
+
+    def test_dtype_rule_values(self):
+        assert exact_dtype(32, 5) == np.int64
+        assert exact_dtype(16, 14) == object
+        assert exact_dtype(60, 4) == np.int64
+        assert exact_dtype(60, 5) == object
 
 
 class TestUniformBound:
@@ -292,6 +325,23 @@ class TestClanBounds:
         assert math.isclose(chaos_bound(inp), 1 / n + 2 * intersect,
                             rel_tol=1e-12)
         assert math.isclose(tail_count_cov_bound(inp), tail, rel_tol=1e-12)
+
+    # u near 1, where the two terms of the log bracket share their leading
+    # digits: n ln((n+u-1)/n) and (n-1)(u-1)/(n+u-1) in floats read the
+    # first bound 5.4% high and the third 1.2e-6 low; the tolerance allows
+    # the digits that cancelling x against x (1 - 1/n) costs at n = 10^6
+    @pytest.mark.parametrize("n,d,t", [(10**6, 2, 1e-3), (10**4, 3, 1e-6),
+                                       (200, 2, 1e-6), (2000, 2, 1.0)])
+    def test_intersection_near_u_1(self, n, d, t):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            u = (2 ** (d - 1) * Decimal("0.5") * d * n * Decimal(t)
+                 / (n - d)).exp()
+            bracket = (n * ((n + u - 1) / n).ln()
+                       - (n - 1) * (u - 1) / (n + u - 1))
+            want = float(Decimal("1.5") ** d * n / (n - d) * bracket)
+        got = clan_intersection_bound(BoundInputs(n, d, 0.5, t))
+        assert math.isclose(got, want, rel_tol=1e-9)
 
     def test_needs_room(self):
         with pytest.raises(ValueError):

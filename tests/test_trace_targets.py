@@ -37,8 +37,9 @@ def test_tracer_installs_and_restores():
 
 
 def test_tracer_counts_rate_kernels(tmp_path):
-    # a rates-check row calls the closed and hypergeometric forms once each,
-    # and the (N+1)-system form and the closed form at N+1 once per relation
+    # a rates-check (N, D) cell calls the closed and hypergeometric forms
+    # once each, and the (N+1)-system form and the closed form at N+1 once
+    # per relation, each on every row of the cell at once
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "rates-check", "N": [4, 6], "D": [1, 3],
                                "lambda": [0.5], "seed": 1}))
@@ -50,5 +51,5 @@ def test_tracer_counts_rate_kernels(tmp_path):
     with open(out / "rates_check.csv") as fh:
         rows = sum(1 for _ in csv.DictReader(fh))
     assert rows == 2 * (10 + 21)
-    assert tracer.stats["rates.kernel"].calls == 8 * rows
-    assert tracer.counts["rates.cells"] == rows
+    assert tracer.stats["rates.kernel"].calls == 8 * 4
+    assert tracer.counts["rates.cells"] == 4
