@@ -402,7 +402,8 @@ def _run_bounds(spec, out_dir, pool):
     return 0
 
 
-# "0,1,..." for each value of six 0/1 columns packed as bits, bit 0 first
+# The six 0/1 columns of a rates_check.csv row as one field string, indexed
+# by the columns packed as bits, the first column in bit 0.
 _FLAG_FIELDS = [",".join(str(v >> i & 1) for i in range(6)) for v in range(64)]
 
 
@@ -441,8 +442,7 @@ def _run_rates_check(spec, out_dir, pool):
             if d >= 2 and n >= monotone_threshold(d):
                 gated = gated & mono["above"]
             failures += len(spec.lam) * int(np.count_nonzero(~gated))
-            # the six flag columns of each row, as one number whose bit i
-            # is column i, and so as one entry of _FLAG_FIELDS
+            # each row's six flag columns as one _FLAG_FIELDS index
             flags = np.packbits(np.stack(
                 [identity_ok, uniform_ok, consistency_ok, mono["above"],
                  mono["equal"], ~mono["below"]], axis=1),

@@ -87,9 +87,9 @@ def _comb(x, r: int):
 
 
 def exact_dtype(n: int, d: int) -> np.dtype:
-    """The dtype in which every value the rates of the (n, d) cell and their
-    cross products take stays exact: int64 where the module docstring's
-    bounds are below 2**63, else object (Python ints)."""
+    """The dtype that keeps the (n, d) cell's rates, and every cross product
+    of them that rates-check forms, exact: int64 where the bounds in the
+    module docstring are below 2**63, else object (Python ints)."""
     c = comb(n + 1, d)
     bound = max(n * (n + 1) ** 2 * _lcm_upto(d) * c * c, d**d * (n + 1) * c)
     return np.dtype(np.int64 if bound < 2**63 else object)

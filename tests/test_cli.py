@@ -355,9 +355,9 @@ class TestRatesCheckDtype:
         # the benchmark's exact workload runs every cell of its rates-check
         # config in int64; Python ints there would forfeit most of the
         # array path's gain
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        path = Path(__file__).resolve().parents[1] / "perfbench"
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      path)
+                                                      path / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         # its dataclasses look their module up by name
         monkeypatch.setitem(sys.modules, spec.name, workloads)

@@ -129,19 +129,14 @@ class TestArrayKernels:
             kernel = {"closed": arrival_rate_closed,
                       "hyper": arrival_rate_hyper}[form]
         rows = np.tril_indices(n + 1, -1)
-        want = [kernel(n, d, k, k1) for k, k1 in zip(*(a.tolist() for a in rows))]
+        want = [kernel(n, d, k, k1)
+                for k, k1 in zip(*(a.tolist() for a in rows))]
         for dtype in {exact_dtype(n, d), np.dtype(object)}:
             p, q = kernel(n, d, *(a.astype(dtype) for a in rows))
             assert all(v.dtype == dtype for v in (p, q)
                        if isinstance(v, np.ndarray))
             assert list(zip(*(np.broadcast_to(v, rows[0].shape).tolist()
                               for v in (p, q)))) == want
-
-    def test_dtype_rule_values(self):
-        assert exact_dtype(32, 5) == np.int64
-        assert exact_dtype(16, 14) == object
-        assert exact_dtype(60, 4) == np.int64
-        assert exact_dtype(60, 5) == object
 
 
 class TestUniformBound:
