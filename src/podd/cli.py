@@ -402,11 +402,6 @@ def _run_bounds(spec, out_dir, pool):
     return 0
 
 
-# The six 0/1 columns of a rates_check.csv row as one field string, indexed
-# by the columns packed as bits, the first column in bit 0.
-_FLAG_FIELDS = [",".join(str(v >> i & 1) for i in range(6)) for v in range(64)]
-
-
 def _run_rates_check(spec, out_dir, pool):
     # Every rate is lam * P / Q with Q > 0 and lam > 0, so two rates at one
     # load compare exactly as P1 * Q2 against P2 * Q1, and no check depends
@@ -442,11 +437,10 @@ def _run_rates_check(spec, out_dir, pool):
             if d >= 2 and n >= monotone_threshold(d):
                 gated = gated & mono["above"]
             failures += len(spec.lam) * int(np.count_nonzero(~gated))
-            # each row's six flag columns as one _FLAG_FIELDS index
-            flags = np.packbits(np.stack(
-                [identity_ok, uniform_ok, consistency_ok, mono["above"],
-                 mono["equal"], ~mono["below"]], axis=1),
-                axis=1, bitorder="little")[:, 0]
+            # the six 0/1 columns, as one list of them per row
+            flags = np.stack([identity_ok, uniform_ok, consistency_ok,
+                              mono["above"], mono["equal"], ~mono["below"]],
+                             axis=1).astype(np.int8)
             cols = [a.tolist() for a in (pi_k, pi_k1, cp, cq, flags)]
             for lam in spec.lam:
                 lam_q = _exact_load(lam)
@@ -454,9 +448,9 @@ def _run_rates_check(spec, out_dir, pool):
                 # No field needs quoting, so one format string per cell
                 # writes what csv.writer would; int / int is correctly
                 # rounded, as float(Fraction) is, and %r writes it as _fmt
-                row = f"{n},{d},{_fmt(lam)},%d,%d,%r,%s\r\n"
+                row = f"{n},{d},{_fmt(lam)},%d,%d,%r{',%d' * 6}\r\n"
                 fh.write("".join([
-                    row % (k, k1, lam_p * p / (lam_r * q), _FLAG_FIELDS[f])
+                    row % (k, k1, lam_p * p / (lam_r * q), *f)
                     for k, k1, p, q, f in zip(*cols)]))
     return 1 if failures else 0
 

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -353,8 +354,8 @@ class TestRatesCheckDtype:
 
     def test_exact_workload_takes_int64(self, monkeypatch):
         # the benchmark's exact workload runs every cell of its rates-check
-        # config in int64; Python ints there would forfeit most of the
-        # array path's gain
+        # config in int64; in Python ints that config takes about 1.8 times
+        # as long, which CHANGES.md measures against the exact wall_s claim
         path = Path(__file__).resolve().parents[1] / "perfbench"
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                       path / "workloads.py")
@@ -675,6 +676,32 @@ class TestClanCommand:
         assert len(rows) == 2
         for r in rows:
             assert float(r["mean_size"]) <= float(r["size_bound"]) + float(r["size_ci"])
+
+    def test_intersect_bound_against_decimal(self, tmp_path):
+        # the intersect_bound column of the two clan digest pins' cells,
+        # against 80-digit decimal arithmetic: the log bracket taken as
+        # n ln((n+u-1)/n) - (n-1)(u-1)/(n+u-1) in floats was off by up to
+        # 2.6e-12 on these rows, which is what moved both pins
+        cfg = write_config(tmp_path, {"kind": "clan", "N": [10, 50, 100, 200],
+                                      "D": [2, 3], "lambda": [0.5],
+                                      "t": [0.25, 0.5, 1.0],
+                                      "replications": 20, "seed": 7})
+        out = tmp_path / "c"
+        main(["clan", "--config", cfg, "--out", str(out)])
+        with open(out / "clan.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 24
+        for r in rows:
+            n, d = int(r["N"]), int(r["D"])
+            with localcontext() as ctx:
+                ctx.prec = 80
+                u = (2 ** (d - 1) * Decimal("0.5") * d * n * Decimal(r["t"])
+                     / (n - d)).exp()
+                bracket = (n * ((n + u - 1) / n).ln()
+                           - (n - 1) * (u - 1) / (n + u - 1))
+                want = float(Decimal("1.5") ** d * n / (n - d) * bracket)
+            assert math.isclose(float(r["intersect_bound"]), want,
+                                rel_tol=5e-14), r
 
 
 class TestPinnedDigests:
