@@ -9,17 +9,3 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
-
-from .core import (Configuration, Discipline, FIFO, LIFO_PR, PS, RngStream,
-                   ServiceDistribution, TailCounts)
-from .rates import (BoundInputs, arrival_rate_closed,
-                    arrival_rate_hyper, arrival_rate_plus_one,
-                    asymptotic_tail, cavity_rate, chaos_bound,
-                    chaos_bound_limit, clan_intersection_bound,
-                    clan_size_bound, monotone_threshold,
-                    tail_count_cov_bound, uniform_rate_bound)
-from .engine import ArrivalEvent, EventLog, Trajectory, run, snapshot
-from .ancestry import ClanStats, clan_monte_carlo
-from .cavity import (CoupledPair, level_distribution, run_cavity, run_coupled,
-                     tv_distance)
-from .estimators import EstimateRow, cov_mk, stationary_tail

@@ -27,7 +27,7 @@ from .ancestry import clan_monte_carlo
 from .cavity import level_distribution, run_cavity, run_coupled, tv_distance
 from .core import (RNG_KEY_LIMIT, Configuration, Discipline, RngStream,
                    ServiceDistribution)
-from .engine import run
+from .engine import run, snapshot
 from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
                          stationary_tail, z_value)
 from .rates import (BoundInputs, PLUS_ONE_SHIFT, arrival_rate_closed,
@@ -497,16 +497,23 @@ def _run_simulate(spec, out_dir, pool):
     return 0
 
 
+def _chaos_rep(task):
+    """A `chaos` replication: its tail counts at t, the horizon and only
+    sample time, which is all `cov_mk` reads.  What crosses the pool is
+    O(K) for K levels, not the O(N) trajectory."""
+    traj, _ = _run_rep(task)
+    return snapshot(traj, task[3])
+
+
 def _run_chaos(spec, out_dir, pool):
     rows = []
     failures = 0
     for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
-        results = pool.map(_run_rep, _run_tasks(
+        snaps = pool.map(_chaos_rep, _run_tasks(
             spec, f"chaos-{n}-{d}-{lam}-{t}", n, d, lam, t, [t]))
-        trajs = [traj for traj, _ in results]
         bound = chaos_bound(BoundInputs(n, d, lam, t))
         for k, l in itertools.product(spec.k, spec.l):
-            row = cov_mk(trajs, k, l, t, level=0.95)
+            row = cov_mk(snaps, k, l, level=0.95)
             ok = row.estimate <= bound + 3 * row.half_width
             if not ok:
                 failures += 1
@@ -552,6 +559,13 @@ def _cavity_rep(task):
     return int(traj.final_lengths[0])
 
 
+def _tagged_rep(task):
+    """A `tagged` replication of the N-system: the length of server 0 at
+    the horizon."""
+    traj, _ = _run_rep(task)
+    return int(traj.final_lengths[0])
+
+
 def _run_tagged(spec, out_dir, pool):
     rows = []
     # binomial-style noise scale on a TV estimate
@@ -562,10 +576,9 @@ def _run_tagged(spec, out_dir, pool):
         cav = level_distribution(pool.map(_cavity_rep, _reps(
             spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)), spec.k_max)
         for *_, n in group:
-            results = pool.map(_run_rep, _run_tasks(
-                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, []))
-            emp = level_distribution([int(traj.final_lengths[0])
-                                      for traj, _ in results], spec.k_max)
+            emp = level_distribution(pool.map(_tagged_rep, _run_tasks(
+                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [])),
+                spec.k_max)
             rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv_distance(emp, cav)),
                          _fmt(ci)])
     _write_csv(os.path.join(out_dir, "tagged.csv"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import Trajectory, snapshot
+from .engine import Trajectory
 
 Z_VALUES = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 MIN_REPLICATIONS = 30
@@ -55,16 +55,16 @@ def pair_covariance(pairs, level: float) -> tuple[Fraction, float]:
             z_value(level) * math.sqrt(float(var) / n))
 
 
-def cov_mk(trajs, k: int, l: int, t: float, level: float = 0.95) -> EstimateRow:
-    """|Cov(m_k(t), m_l(t))| across replications, bias-corrected.
+def cov_mk(snaps, k: int, l: int, level: float = 0.95) -> EstimateRow:
+    """|Cov(m_k(t), m_l(t))| across replications, bias-corrected, from each
+    replication's tail counts at t (`engine.snapshot`).
 
     m_k is the fraction of servers at exactly level k, so the integer pair
-    (pi_k - pi_{k+1}, pi_l - pi_{l+1}) is taken from each replication's
-    snapshot at t and scaled by 1/N^2 once at the end.
+    (pi_k - pi_{k+1}, pi_l - pi_{l+1}) is taken from each snapshot and
+    scaled by 1/N^2 once at the end.
     """
-    if len(trajs) < MIN_REPLICATIONS:
+    if len(snaps) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    snaps = [snapshot(traj, t) for traj in trajs]
     pairs = [(tc.get(k) - tc.get(k + 1), tc.get(l) - tc.get(l + 1))
              for tc in snaps]
     cov, half_width = pair_covariance(pairs, level)

@@ -21,7 +21,7 @@ from podd.ancestry import clan_monte_carlo
 from podd.cavity import level_distribution, run_cavity, tv_distance
 from podd.cli import main
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
-from podd.engine import run
+from podd.engine import run, snapshot
 from podd.estimators import cov_mk, stationary_tail
 from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         arrival_rate_hyper, arrival_rate_plus_one,
@@ -234,16 +234,16 @@ def test_criterion_6_chaos():
     bad = []
     for n in (200, 400, 800):
         root = RngStream(1006)
-        trajs = []
+        snaps = []
         for r in range(reps):
             traj, _ = run(n, 2, lam, EXP, FIFO, Configuration.empty(n), t,
                           [t], root.child(f"chaos{n}", r), record_events=False)
-            trajs.append(traj)
+            snaps.append(snapshot(traj, t))
         bound = chaos_bound(BoundInputs(n, 2, lam, t))
         s = 0.0
         for k in range(3):
             for l in range(3):
-                row = cov_mk(trajs, k, l, t)
+                row = cov_mk(snaps, k, l)
                 s += row.estimate
                 if row.estimate > bound + 3 * row.half_width:
                     bad.append((n, k, l))

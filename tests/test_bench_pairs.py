@@ -23,6 +23,29 @@ def test_summary_reproduces_bench_7():
     assert s["change_median"] == 2.8361
     assert s["parent_iqr"] == 0.4253
     assert s["change_wins"] == 9
+    # 9 of 10 pairs, and a median gap of 0.85 s against an IQR of 0.43 s
+    assert s["resolved"] is True
+
+
+def test_alternating_winners_do_not_resolve():
+    # each side wins every other pair: 5 wins of 10, whatever the medians
+    parent = [1.0, 2.0] * 5
+    change = [2.0, 1.0] * 5
+    for better in ("lower", "higher"):
+        s = bench_pairs.summarise(parent, change, better)
+        assert s["change_wins"] == 5
+        assert s["resolved"] is False
+
+
+def test_resolving_needs_a_gap_wider_than_the_parent_iqr():
+    # 10 of 10 pairs won, but by less than the parent's spread
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2
+    change = [v - 0.01 for v in parent]
+    s = bench_pairs.summarise(parent, change, "lower")
+    assert s["change_wins"] == 10 and s["parent_iqr"] == 0.4
+    assert s["resolved"] is False
+    assert bench_pairs.summarise(parent, [v - 0.5 for v in parent],
+                                 "lower")["resolved"] is True
 
 
 def test_wins_follow_direction_and_ties_do_not_count():

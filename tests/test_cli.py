@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -662,6 +663,30 @@ class TestChaosCommand:
         assert main(["chaos", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "chaos.csv") as fh:
             assert [r["N"] for r in csv.DictReader(fh)] == ["5"]
+
+
+class TestWhatCrossesThePool:
+    """A chaos replication returns its tail counts at t and a tagged one the
+    length of server 0: the whole trajectory, with its N-long final lengths,
+    pickled to 16 kB at N = 2000 and made the parent's memory grow with N."""
+
+    @staticmethod
+    def _pickled_sizes(n):
+        cell = {"N": [n], "D": [2], "lambda": [0.5], "t": [1.0],
+                "replications": 30, "seed": 1}
+        chaos = parse_config({"kind": "chaos", "k": [0], "l": [0], **cell})
+        tagged = parse_config({"kind": "tagged", **cell})
+        snap = podd.cli._chaos_rep(
+            podd.cli._run_tasks(chaos, "chaos", n, 2, 0.5, 1.0, [1.0])[0])
+        length = podd.cli._tagged_rep(
+            podd.cli._run_tasks(tagged, "tagged", n, 2, 0.5, 1.0, [])[0])
+        assert snap.N == n and type(length) is int
+        return len(pickle.dumps(snap)), len(pickle.dumps(length))
+
+    @pytest.mark.parametrize("n", [20, 2000])
+    def test_values_stay_small(self, n):
+        chaos, tagged = self._pickled_sizes(n)
+        assert chaos <= 96 and tagged <= 8
 
 
 class TestClanCommand:

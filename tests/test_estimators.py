@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from podd.core import Configuration, FIFO, PS, RngStream, ServiceDistribution
-from podd.engine import run
+from podd.engine import run, snapshot
 from podd.estimators import cov_mk, pair_covariance, stationary_tail, z_value
 
 EXP = ServiceDistribution.exponential()
@@ -44,13 +44,14 @@ def fit_exp_decay(ts, values) -> FitResult:
 
 def replicate(n, d, lam, t, reps, seed, disc=FIFO, dist=EXP, init=None,
               horizon=None):
+    """Each replication's tail counts at t, as `cov_mk` takes them."""
     root = RngStream(seed)
     out = []
     for r in range(reps):
         cfg = init if init is not None else Configuration.empty(n)
         traj, _ = run(n, d, lam, dist, disc, cfg, horizon or t, [t],
                       root.child("rep", r), record_events=False)
-        out.append(traj)
+        out.append(snapshot(traj, t))
     return out
 
 
@@ -90,22 +91,19 @@ class TestPairMoments:
 
 class TestCovEstimators:
     def test_t_zero_deterministic_init(self):
-        trajs = replicate(6, 2, 0.5, 0.0, 30, seed=50, horizon=1.0)
-        assert cov_mk(trajs, 0, 1, 0.0).estimate == 0.0
+        snaps = replicate(6, 2, 0.5, 0.0, 30, seed=50, horizon=1.0)
+        assert cov_mk(snaps, 0, 1).estimate == 0.0
 
     def test_diagonal_is_variance(self):
-        trajs = replicate(8, 2, 0.6, 1.0, 40, seed=51)
-        row = cov_mk(trajs, 1, 1, 1.0)
-        vals = []
-        for traj in trajs:
-            tc = traj.snapshots[0]
-            vals.append((tc.get(1) - tc.get(2)) / 8)
+        snaps = replicate(8, 2, 0.6, 1.0, 40, seed=51)
+        row = cov_mk(snaps, 1, 1)
+        vals = [(tc.get(1) - tc.get(2)) / 8 for tc in snaps]
         assert row.estimate == pytest.approx(np.var(vals, ddof=1))
 
     def test_replication_floor(self):
-        trajs = replicate(5, 2, 0.5, 0.5, 10, seed=53)
+        snaps = replicate(5, 2, 0.5, 0.5, 10, seed=53)
         with pytest.raises(ValueError):
-            cov_mk(trajs, 0, 1, 0.5)
+            cov_mk(snaps, 0, 1)
 
 
 def enumerate_moments(n, lam, horizon, k, l, max_arrivals=7):
@@ -157,8 +155,8 @@ class TestExhaustiveOracle:
         n, lam, horizon, k, l = 3, 0.5, 0.4, 0, 1
         exact, tail = enumerate_moments(n, lam, horizon, k, l)
         reps = 4000
-        trajs = replicate(n, 2, lam, horizon, reps, seed=54, dist=DET)
-        row = cov_mk(trajs, k, l, horizon, level=0.99)
+        snaps = replicate(n, 2, lam, horizon, reps, seed=54, dist=DET)
+        row = cov_mk(snaps, k, l, level=0.99)
         assert abs(row.estimate - abs(exact)) < 3 * row.half_width + tail + 1e-6
 
 

@@ -53,3 +53,46 @@ def test_tracer_counts_rate_kernels(tmp_path):
     assert rows == 2 * (10 + 21)
     assert tracer.stats["rates.kernel"].calls == 8 * 4
     assert tracer.counts["rates.cells"] == 4
+
+
+def traced_main(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        assert podd.cli.main([doc["kind"], "--config", str(cfg),
+                              "--out", str(tmp_path / "out")]) == 0
+    return tracer
+
+
+def arrivals(doc, kind, times):
+    """The arrivals of every N-system replication of `doc`'s cells, each
+    run again outside the tracer from the driver's own tasks."""
+    spec = podd.cli.parse_config(doc)
+    [d], [lam], [t] = spec.D, spec.lam, spec.t
+    return sum(podd.cli._run_rep(task)[1].n_arrivals for n in spec.N
+               for task in podd.cli._run_tasks(
+                   spec, f"{kind}-{n}-{d}-{lam}-{t}", n, d, lam, t, times))
+
+
+# The drivers map their own readers around `_run_rep`, which calls the
+# engine through `podd.cli.run`, the name the tracer patches; the chaos
+# driver calls `podd.cli.cov_mk` on the snapshots they return.
+CELLS = {"N": [6, 8], "D": [2], "lambda": [0.5], "t": [1.0],
+         "replications": 30, "seed": 3}
+
+
+def test_tracer_counts_chaos_runs(tmp_path):
+    doc = {"kind": "chaos", "k": [0, 1], "l": [1], **CELLS}
+    metrics = traced_main(tmp_path, doc).metrics()
+    assert metrics["engine.run_calls"] == 2 * 30
+    assert metrics["estimators.cov_mk_calls"] == 2 * 2
+    assert metrics["engine.arrivals"] == arrivals(doc, "chaos", [1.0])
+
+
+def test_tracer_counts_tagged_runs(tmp_path):
+    doc = {"kind": "tagged", **CELLS}
+    metrics = traced_main(tmp_path, doc).metrics()
+    assert metrics["engine.run_calls"] == 2 * 30
+    assert metrics["estimators.cov_mk_calls"] == 0
+    assert metrics["engine.arrivals"] == arrivals(doc, "tagged", [])

@@ -6,8 +6,9 @@ runs `perfbench/run.py --trace 0` once on each side; odd seeds run the parent
 first and even seeds the change first, so drift in the host's load falls on
 both sides alike.  Per metric the summary holds both sides' runs and medians,
 the distance between the quartiles of the parent's runs, how many pairs
-the change won, and the median and quartiles of the per-pair ratio
-change/parent.  The ratio compares two runs made back to back, so a swing
+the change won, the median and quartiles of the per-pair ratio
+change/parent, and whether a gain resolves: at least 9 pairs in 10 won, and
+a median gap wider than the parent's interquartile distance.  The ratio compares two runs made back to back, so a swing
 in the host's load that spans several pairs moves both sides' medians but
 not the ratio.
 
@@ -144,13 +145,16 @@ def quartiles(values):
 
 def summarise(parent_runs, change_runs, better: str) -> dict:
     """Medians of both sides, the parent's interquartile distance, the
-    number of pairs in which the change was better, and the quartiles of
-    change/parent over the pairs whose parent value is not 0."""
-    if better == "lower":
-        wins = sum(c < p for p, c in zip(parent_runs, change_runs))
-    else:
-        wins = sum(c > p for p, c in zip(parent_runs, change_runs))
+    number of pairs in which the change was better, the quartiles of
+    change/parent over the pairs whose parent value is not 0, and whether
+    the change resolves as a gain: it won at least 9 pairs in 10, and its
+    median is better than the parent's by more than the parent's
+    interquartile distance."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent_runs, change_runs))
     q1, _, q3 = quartiles(parent_runs)
+    gap = sign * (statistics.median(parent_runs)
+                  - statistics.median(change_runs))
     ratios = [c / p for p, c in zip(parent_runs, change_runs) if p]
     r1, r2, r3 = ([round(v, 4) for v in quartiles(ratios)] if ratios
                   else [None] * 3)
@@ -158,6 +162,7 @@ def summarise(parent_runs, change_runs, better: str) -> dict:
             "change_median": round(statistics.median(change_runs), 4),
             "change_wins": wins,
             "parent_iqr": round(q3 - q1, 4),
+            "resolved": 10 * wins >= 9 * len(parent_runs) and gap > q3 - q1,
             "ratio_median": r2,
             "ratio_quartiles": [r1, r3],
             "parent_runs": [round(v, 4) for v in parent_runs],
@@ -223,7 +228,9 @@ def main(argv=None) -> int:
                           "parent_iqr is the distance between the quartiles "
                           "of the parent's runs; ratio_median and "
                           "ratio_quartiles are the median and the first and "
-                          "third quartiles of change/parent over the pairs",
+                          "third quartiles of change/parent over the pairs; "
+                          "resolved: the change won at least 9 pairs in 10 "
+                          "and its median is better by more than parent_iqr",
                "workloads": {}}
         for workload, seeds in plan:
             out["workloads"][workload] = run_workload(

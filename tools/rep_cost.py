@@ -3,20 +3,20 @@
     python3 tools/rep_cost.py                    # this checkout's src/
     python3 tools/rep_cost.py --src OTHER/src    # another checkout
 
-Times `podd.cli._run_rep` on a `chaos` cell at N=200, D=2, lambda=0.5, FIFO,
-exponential service, empty start, for t = 1e-9 and t = 1; the two
-replications of a `tagged` cell at N=200, D=2, lambda=0.5, t=2:
-`_run_rep` with no sample time and `podd.cli._cavity_rep`; and
-`podd.cli._coupled_rep` at N=100, D=2, lambda=0.5, horizon 4 (the
-`many-reps` benchmark's sizes).  Tasks are built with the CLI's own task
-builders (`_run_tasks`, `_reps`), so the other checkout must have them; an
-empty start is built once per cell, outside the timed loop, as the CLI
-builds it.  At t = 1e-9 no event happens, so that time is a replication's
-fixed cost: streams, draw buffers, kernel, snapshot.  Each line gives the
-best, over REPEAT passes of REPS replications (REPS // 5 for the tagged
-N=200 system and for coupled), of the mean time per replication in
-microseconds.  The host's load moves these numbers; compare two checkouts
-by alternating runs.
+Times the functions the drivers map over a pool, at the `many-reps`
+benchmark's sizes: `podd.cli._chaos_rep` on a `chaos` cell at N=200, D=2,
+lambda=0.5, FIFO, exponential service, empty start, for t = 1e-9 and t = 1;
+the two replications of a `tagged` cell at N=200, D=2, lambda=0.5, t=2,
+`podd.cli._tagged_rep` and `podd.cli._cavity_rep`; and
+`podd.cli._coupled_rep` at N=100, D=2, lambda=0.5, horizon 4.  Tasks are
+built with the CLI's own task builders (`_run_tasks`, `_reps`), so the
+other checkout must have them and these functions; an empty start is built
+once per cell, outside the timed loop, as the CLI builds it.  At t = 1e-9
+no event happens, so that time is a replication's fixed cost: streams, draw
+buffers, kernel, snapshot.  Each line gives the best, over REPEAT passes of
+REPS replications (REPS // 5 for the tagged N=200 system and for coupled),
+of the mean time per replication in microseconds.  The host's load moves
+these numbers; compare two checkouts by alternating runs.
 """
 from __future__ import annotations
 
@@ -46,8 +46,9 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(SRC), help="the src/ to import podd from")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
-    from podd.cli import (_cavity_rep, _coupled_rep, _reps, _run_rep,
-                          _run_tasks, _shared_start, parse_config)
+    from podd.cli import (_cavity_rep, _chaos_rep, _coupled_rep, _reps,
+                          _run_tasks, _shared_start, _tagged_rep,
+                          parse_config)
 
     # tasks are built as the drivers build them: replication r of label L
     # draws from RngStream(1).child(L, r)
@@ -55,13 +56,13 @@ def main(argv=None) -> int:
                           "lambda": [0.5], "t": [1.0], "k": [0], "l": [0],
                           "replications": REPS, "seed": 1})
     for t in (1e-9, 1.0):
-        us = best_mean_us(_run_rep,
+        us = best_mean_us(_chaos_rep,
                           _run_tasks(chaos, "chaos", 200, 2, 0.5, t, [t]))
         print(f"chaos N=200 t={t:g}: {us:.0f} us per replication")
     tagged = parse_config({"kind": "tagged", "N": [200], "D": [2],
                            "lambda": [0.5], "t": [2.0],
                            "replications": REPS // 5, "seed": 1})
-    us = best_mean_us(_run_rep,
+    us = best_mean_us(_tagged_rep,
                       _run_tasks(tagged, "tagged", 200, 2, 0.5, 2.0, []))
     print(f"tagged N=200 t=2: {us:.0f} us per replication")
     cavity = replace(tagged, replications=REPS)
