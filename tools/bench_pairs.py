@@ -7,10 +7,10 @@ first and even seeds the change first, so drift in the host's load falls on
 both sides alike.  Per metric the summary holds both sides' runs and medians,
 the distance between the quartiles of the parent's runs, how many pairs
 the change won, the median and quartiles of the per-pair ratio
-change/parent, and whether a gain resolves: at least 9 pairs in 10 won, and
-a median gap wider than the parent's interquartile distance.  The ratio compares two runs made back to back, so a swing
-in the host's load that spans several pairs moves both sides' medians but
-not the ratio.
+change/parent, and whether a gain resolves: at least 9 pairs in 10 won,
+and a median gap wider than the parent's interquartile distance.  The
+ratio compares two runs made back to back, so a swing in the host's load
+that spans several pairs moves both sides' medians but not the ratio.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_8.json \\
         exact=801-810 long-run=811-820 many-reps=821-830
