@@ -2,9 +2,9 @@
 to the simulation, ancestry, cavity, and estimator modules, with CSV results
 and a JSON manifest.
 
-Exit codes: 0 success, 1 bound/identity violation in a check mode, 2 config
-error.  Identical config + seed gives byte-identical outputs regardless of
-the worker count.
+Exit codes: 0 success, 1 bound/identity violation in a check mode, 2 config,
+I/O or worker error (an OSError).  Identical config + seed gives
+byte-identical outputs regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -239,6 +239,8 @@ def parse_config(text, kind: str | None = None) -> ExperimentSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON: {e}") from None
+        except RecursionError:
+            raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -351,32 +353,27 @@ def _fmt(x) -> str:
 
 
 class _Pool:
-    """Ordered map over one worker pool per subcommand run.  The pool is
-    opened by the first map that has more than one task and more than one
-    worker, and shut on leaving the `with` block.  Order (and so output
-    bytes) does not depend on the pool size because every task owns its own
-    substream."""
+    """Ordered map over `workers` processes (see `podd.workers`).  Order (and
+    so output bytes) does not depend on the worker count because every task
+    owns its own substream."""
 
     def __init__(self, workers):
         self.workers = workers
-        self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown()
 
     def map(self, fn, tasks):
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(t) for t in tasks]
-        if self._executor is None:
-            # imported here: a run at one worker never pays for the import
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(
-            fn, tasks, chunksize=max(1, len(tasks) // (4 * self.workers))))
+        # imported here: a run at one worker never loads it
+        from .workers import fork_map
+        return fork_map(fn, tasks, self.workers)
+
+
+def _map_cells(pool, fn, cell_tasks):
+    """`fn` over the task lists of many cells in one map, so that the workers
+    are forked once per run: the results as one list per cell."""
+    results = iter(pool.map(fn, [t for tasks in cell_tasks for t in tasks]))
+    return [list(itertools.islice(results, len(tasks)))
+            for tasks in cell_tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +465,16 @@ def _run_simulate(spec, out_dir, pool):
     times = (spec.sample_times if spec.sample_times is not None
              else np.linspace(0.0, spec.horizon, 65))
     cells = list(_cells(spec, "N", "D", "lam"))
-    # one map over every (cell, replication), so many small cells still
-    # spread over the workers
-    results = pool.map(_run_rep, [
-        task for n, d, lam in cells
-        for task in _run_tasks(spec, f"sim-{n}-{d}-{lam}", n, d, lam,
-                               spec.horizon, times)])
-    meta = list(itertools.product(cells, range(spec.replications)))
+    per_cell = _map_cells(pool, _run_rep, [
+        _run_tasks(spec, f"sim-{n}-{d}-{lam}", n, d, lam, spec.horizon, times)
+        for n, d, lam in cells])
+    # (replication, cell, (trajectory, arrival log)) per run
+    runs = [(r, cell, result) for cell, results in zip(cells, per_cell)
+            for r, result in enumerate(results)]
     # generators: each row is written as it is made, so no run holds all
     # of its rows at once
     traj_rows = ([r, n, d, _fmt(lam), _fmt(float(tv)), k, pik]
-                 for ((n, d, lam), r), (traj, _) in zip(meta, results)
+                 for r, (n, d, lam), (traj, _) in runs
                  for tv, tc in zip(traj.times, traj.snapshots)
                  for k, pik in enumerate(tc.pi))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
@@ -490,7 +486,7 @@ def _run_simulate(spec, out_dir, pool):
         with open(os.path.join(out_dir, "events.csv"), "w",
                   newline="") as fh:
             fh.write("rep,time,kind,server,zeta\r\n")
-            for ((_, d, _), r), (_, log) in zip(meta, results):
+            for r, (_, d, _), (_, log) in runs:
                 row = f"{r},%r,A,%d,{'|'.join(['%d'] * d)}\r\n"
                 fh.write("".join([row % (ev.time, ev.routed_to, *ev.zeta)
                                   for ev in log.arrivals]))
@@ -508,9 +504,11 @@ def _chaos_rep(task):
 def _run_chaos(spec, out_dir, pool):
     rows = []
     failures = 0
-    for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
-        snaps = pool.map(_chaos_rep, _run_tasks(
-            spec, f"chaos-{n}-{d}-{lam}-{t}", n, d, lam, t, [t]))
+    cells = list(_cells(spec, "N", "D", "lam", "t"))
+    per_cell = _map_cells(pool, _chaos_rep, [
+        _run_tasks(spec, f"chaos-{n}-{d}-{lam}-{t}", n, d, lam, t, [t])
+        for n, d, lam, t in cells])
+    for (n, d, lam, t), snaps in zip(cells, per_cell):
         bound = chaos_bound(BoundInputs(n, d, lam, t))
         for k, l in itertools.product(spec.k, spec.l):
             row = cov_mk(snaps, k, l, level=0.95)
@@ -571,16 +569,22 @@ def _run_tagged(spec, out_dir, pool):
     # binomial-style noise scale on a TV estimate
     ci = z_value(0.95) * math.sqrt(0.25 / spec.replications) * (spec.k_max + 1) ** 0.5
     # one cavity law per (D, lambda, t), compared with each N in turn
-    cells = _cells(spec, "D", "lam", "t", "N")
-    for (d, lam, t), group in itertools.groupby(cells, key=lambda c: c[:3]):
-        cav = level_distribution(pool.map(_cavity_rep, _reps(
-            spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)), spec.k_max)
-        for *_, n in group:
-            emp = level_distribution(pool.map(_tagged_rep, _run_tasks(
-                spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [])),
-                spec.k_max)
-            rows.append([n, d, _fmt(lam), _fmt(t), _fmt(tv_distance(emp, cav)),
-                         _fmt(ci)])
+    groups = [(key, [c[3] for c in group]) for key, group in itertools.groupby(
+        _cells(spec, "D", "lam", "t", "N"), key=lambda c: c[:3])]
+    # every cavity and N-system replication in one map, as (fn, task) jobs
+    jobs = []
+    for (d, lam, t), ns in groups:
+        jobs.append([(_cavity_rep, task) for task in _reps(
+            spec, f"cavity-{d}-{lam}-{t}", d, lam, t, spec)])
+        jobs += [[(_tagged_rep, task) for task in _run_tasks(
+            spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [])] for n in ns]
+    laws = iter([level_distribution(values, spec.k_max) for values in
+                 _map_cells(pool, lambda job: job[0](job[1]), jobs)])
+    for (d, lam, t), ns in groups:
+        cav = next(laws)
+        for n in ns:
+            rows.append([n, d, _fmt(lam), _fmt(t),
+                         _fmt(tv_distance(next(laws), cav)), _fmt(ci)])
     _write_csv(os.path.join(out_dir, "tagged.csv"),
                ["N", "D", "lambda", "t", "tv", "tv_ci"], rows)
     return 0
@@ -588,10 +592,12 @@ def _run_tagged(spec, out_dir, pool):
 
 def _run_stationary(spec, out_dir, pool):
     rows = []
-    for n, d, lam in _cells(spec, "N", "D", "lam"):
-        times, warmup = _stationary_grid(spec, lam)
-        [(traj, _)] = pool.map(_run_rep, _run_tasks(
-            spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon, times))
+    cells = [(n, d, lam, *_stationary_grid(spec, lam))
+             for n, d, lam in _cells(spec, "N", "D", "lam")]
+    per_cell = _map_cells(pool, _run_rep, [
+        _run_tasks(spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon,
+                   times) for n, d, lam, times, _ in cells])
+    for (n, d, lam, _, warmup), [(traj, _)] in zip(cells, per_cell):
         tail = stationary_tail(traj, warmup, spec.n_batches, spec.k_max)
         for k, row in enumerate(tail):
             rows.append([n, d, _fmt(lam), k, _fmt(row.estimate),
@@ -613,10 +619,11 @@ def _coupled_rep(task):
 
 def _run_coupled(spec, out_dir, pool):
     rows = []
-    for n, d, lam in _cells(spec, "N", "D", "lam"):
-        results = pool.map(_coupled_rep, _reps(spec, f"coupled-{n}-{d}-{lam}",
-                                               n, d, lam, spec,
-                                               _shared_start(spec, n)))
+    cells = list(_cells(spec, "N", "D", "lam"))
+    per_cell = _map_cells(pool, _coupled_rep, [
+        _reps(spec, f"coupled-{n}-{d}-{lam}", n, d, lam, spec,
+              _shared_start(spec, n)) for n, d, lam in cells])
+    for (n, d, lam), results in zip(cells, per_cell):
         for r, (y, rd, bl, h_s, h_l) in enumerate(results):
             rows.append([r, n, d, _fmt(lam), _fmt(spec.horizon),
                          y, rd, bl, h_s, h_l])
@@ -642,8 +649,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> int:
     """Execute one experiment; writes CSVs plus manifest.json into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     start = time.monotonic()
-    with _Pool(workers) as pool:
-        code = _DRIVERS[spec.kind](spec, out_dir, pool)
+    code = _DRIVERS[spec.kind](spec, out_dir, _Pool(workers))
     manifest = {
         "spec": spec.to_json(),
         "version": __version__,
@@ -681,20 +687,24 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error(f"argument --workers: must be at least 1, "
                      f"got {args.workers}")
+    if args.workers > 1 and not hasattr(os, "fork"):
+        print("error: --workers above 1 needs os.fork, which this platform "
+              "lacks", file=sys.stderr)
+        return 2
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
         spec = parse_config(text, kind=args.kind)
         if args.seed is not None:
             spec = parse_config({**spec.to_json(), "seed": args.seed},
                                 kind=args.kind)
+        return run_experiment(spec, args.out, args.workers)
+    except (ConfigError, UnicodeDecodeError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    return run_experiment(spec, args.out, args.workers)
 
 
 if __name__ == "__main__":

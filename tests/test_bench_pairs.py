@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -67,3 +69,48 @@ def test_per_pair_ratio():
     assert s["ratio_quartiles"] == [0.6875, 1.0625]
     s = bench_pairs.summarise([0.0], [1.0], "lower")
     assert s["ratio_median"] is None and s["ratio_quartiles"] == [None, None]
+
+
+def _fake_perfbench(argv, cwd):
+    """perfbench/run.py as run_child would run it in the copy `cwd`: the
+    change side fails a check at seed 2 (exit 1, with a record) and crashes
+    at seed 3 (exit 1, nothing printed, no record)."""
+    seed = int(argv[argv.index("--seed") + 1])
+    failing = cwd.name == "change" and seed in (2, 3)
+    if failing and seed == 3:
+        return subprocess.CompletedProcess(argv, 1, "",
+                                           "Traceback ...\nOSError: boom\n")
+    errors = ["chaos exited with code 1"] if failing else []
+    result = {"correct": not failing, "attempted": 3, "failed": int(failing),
+              "metrics": {"wall_s": {"value": seed + 0.5 * (cwd.name == "change"),
+                                     "unit": "s"}}}
+    path = cwd / ".perfbench_work" / "results" / \
+        f"many-reps-seed{seed}-trace0.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({**result, "context": {}, "errors": errors}))
+    return subprocess.CompletedProcess(argv, int(failing),
+                                       f"wall_s {seed}\n{json.dumps(result)}\n",
+                                       "")
+
+
+def test_failed_runs_are_recorded(tmp_path, monkeypatch, capsys):
+    # a run that exited 1 stopped the tool, and one that failed a check was
+    # reported only as correct_and_0_failed: false
+    monkeypatch.setattr(bench_pairs, "run_child", _fake_perfbench)
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    out = bench_pairs.run_workload(sides, "many-reps", [1, 2, 3, 4],
+                                   {"wall_s": "lower"})
+    assert out["correct_and_0_failed"] is False
+    failed = out["failed_runs"]
+    assert [(f["side"], f["seed"], f["workload"]) for f in failed] == [
+        ("change", 2, "many-reps"), ("change", 3, "many-reps")]
+    assert failed[0]["errors"] == ["chaos exited with code 1"]
+    assert failed[1]["errors"][0].startswith("exit code 1, no result: ")
+    assert "OSError: boom" in failed[1]["errors"][0]
+    # the pair whose change side reported nothing is left out
+    assert out["pairs"] == 3
+    assert out["metrics"]["wall_s"]["parent_runs"] == [1.0, 2.0, 4.0]
+    printed = capsys.readouterr().out
+    assert "many-reps seed 2 change FAILED: ['chaos exited with code 1']" \
+        in printed
+    assert "many-reps seed 3 change FAILED: ['exit code 1" in printed

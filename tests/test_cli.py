@@ -8,6 +8,7 @@ import pickle
 import platform
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -202,6 +203,50 @@ class TestExitCodes:
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
+
+    # each of the next three exited 1 with a traceback
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"kind": "\xe9"}')
+        assert main(["bounds", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_config_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_config("[" * 200000)
+
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL_BOUNDS)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_fork_is_2(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = write_config(tmp_path, {**SIM4, "replications": 2})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--workers", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "error: [Errno 11] Resource temporarily unavailable\n"
+
+    def test_workers_above_1_without_fork_is_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        cfg = write_config(tmp_path, MINIMAL_BOUNDS)
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", cfg, "--out", str(out),
+                     "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "os.fork" in err and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
 
     def test_rates_check_clean_grid_is_0(self, tmp_path):
         cfg = write_config(tmp_path, {"kind": "rates-check", "N": [6, 9],
@@ -567,34 +612,127 @@ class TestDeterminism:
         assert read_all(a) == read_all(b)
         assert untimed_manifest(a) == untimed_manifest(b)
 
-    def test_one_pool_per_run(self, tmp_path, monkeypatch):
-        # the cavity map and one map per N used to open a pool each
-        import concurrent.futures
-        opened = []
+    TAGGED = {"kind": "tagged", "N": [10, 12], "D": [2], "lambda": [0.5],
+              "t": [1.0], "replications": 30, "seed": 12}
 
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
+    def test_one_fork_per_worker_per_run(self, tmp_path, monkeypatch):
+        # the cavity map and one map per N each started the workers
+        forks = []
+        fork = os.fork
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        cfg = write_config(tmp_path, {"kind": "tagged", "N": [10, 12],
-                                      "D": [2], "lambda": [0.5], "t": [1.0],
-                                      "replications": 30, "seed": 12})
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        cfg = write_config(tmp_path, self.TAGGED)
         a, b = tmp_path / "w1", tmp_path / "w2"
         assert main(["tagged", "--config", cfg, "--out", str(a),
                      "--workers", "1"]) == 0
-        assert opened == []
+        assert forks == []
         assert main(["tagged", "--config", cfg, "--out", str(b),
                      "--workers", "2"]) == 0
-        assert opened == [2]
+        assert len(forks) == 2
         assert read_all(a) == read_all(b)
 
-    def test_import_leaves_the_pool_out(self):
-        code = ("import sys, podd.cli; "
-                "sys.exit('concurrent.futures' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code],
-                              env=_podd_env()).returncode == 0
+    def test_import_leaves_the_pool_out(self, tmp_path):
+        # a 1-worker run does not load podd.workers, and a 2-worker run
+        # loads neither process-pool package
+        cfg = write_config(tmp_path, self.TAGGED)
+        script = """\
+import json, sys
+import podd.cli
+cfg, out = sys.argv[1:]
+seen = []
+for w in "12":
+    code = podd.cli.main(["tagged", "--config", cfg, "--out", out + w,
+                          "--workers", w])
+    seen.append([code, sorted(m for m in ("podd.workers", "multiprocessing",
+                                          "concurrent.futures")
+                              if m in sys.modules)])
+print(json.dumps(seen))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, cfg,
+                               str(tmp_path / "o")], env=_podd_env(),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[0, []], [0, ["podd.workers"]]]
+
+    BY_KIND = {
+        "chaos": {"N": [6, 8], "D": [2], "lambda": [0.5], "t": [0.5],
+                  "k": [0, 1], "l": [1], "replications": 31},
+        "tagged": {"N": [6, 8], "D": [2], "lambda": [0.5], "t": [0.5],
+                   "replications": 31},
+        "coupled": {"N": [5, 7], "D": [2], "lambda": [0.5], "horizon": 1.0,
+                    "replications": 5},
+        "simulate": {"N": [5], "D": [2], "lambda": [0.5, 0.7],
+                     "horizon": 1.0, "replications": 3,
+                     "record_events": True},
+        "stationary": {"N": [6], "D": [2], "lambda": [0.4, 0.6],
+                       "horizon": 40.0, "warmup": 5.0},
+    }
+
+    @pytest.mark.parametrize("kind", BY_KIND)
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, kind):
+        # 31 replications over 2 or 3 workers leave them unequal shares
+        cfg = write_config(tmp_path, {"kind": kind, "seed": 5,
+                                      **self.BY_KIND[kind]})
+        outs = []
+        for workers in ("1", "2", "3"):
+            outs.append(tmp_path / f"w{workers}")
+            assert main([kind, "--config", cfg, "--out", str(outs[-1]),
+                         "--workers", workers]) == 0
+        assert read_all(outs[0])
+        assert read_all(outs[0]) == read_all(outs[1]) == read_all(outs[2])
+
+
+def _square(x):
+    return x * x
+
+
+def _raise_on_0_wait_on_1(x):
+    if x == 0:
+        raise ValueError("task 0 failed")
+    if x == 1:
+        time.sleep(60)
+    return x
+
+
+def _exit_3_on_1(x):
+    if x == 1:
+        os._exit(3)
+    return x
+
+
+class TestForkMap:
+    """`_Pool.map` at more than one worker forks one child per worker
+    (`podd.workers.fork_map`)."""
+
+    def test_task_error_is_raised_in_the_parent(self):
+        # worker 2 is still asleep when worker 1's error arrives: it is
+        # killed, not waited for
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="task 0 failed") as info:
+            podd.cli._Pool(2).map(_raise_on_0_wait_on_1, [0, 1, 2, 3])
+        assert time.monotonic() - t0 < 30
+        cause = str(info.value.__cause__)
+        assert cause.startswith("worker 1 of 2 raised:\nTraceback")
+        assert "in _raise_on_0_wait_on_1" in cause
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_is_named_with_its_status(self):
+        with pytest.raises(ChildProcessError,
+                           match="^worker 2 of 3 ended with exit status 3 "
+                                 "and sent no result$"):
+            podd.cli._Pool(3).map(_exit_3_on_1, list(range(7)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers,tasks", [(2, []), (5, [1, 2, 3]),
+                                               (2, list(range(9)))])
+    def test_results_in_task_order(self, workers, tasks):
+        assert podd.cli._Pool(workers).map(_square, tasks) == \
+            [x * x for x in tasks]
 
 
 def _podd_env(**extra):

@@ -18,6 +18,12 @@ that spans several pairs moves both sides' medians but not the ratio.
 Every run gets `--seconds` SECONDS, on both sides.  Give each workload at least
 10 seeds: fewer pairs cannot support a claimed gain.
 
+A run that is not `correct` or has failed invocations, or that printed no
+result at all, is kept: its side, seed and the `errors` of its record (or
+its exit code and stderr) go into the workload's `failed_runs` and are
+printed.  A pair with a side that reported no metrics is left out of the
+summaries.
+
 Optional steps, each run once per side:
   --traced-seed S    `perfbench/run.py --trace 1` at seed S; every per-layer
                      metric is recorded for both sides.
@@ -114,19 +120,25 @@ def unpack(rev: str, dest: Path) -> str:
 
 
 def bench(copy: Path, workload: str, seed: int, trace: int):
-    """One perfbench run in `copy`: its JSON result line and run context."""
+    """One perfbench run in `copy`: its JSON result line and its record
+    (`.perfbench_work/results/*.json`).  A run that left no result line or
+    no record gets a failed result with no metrics, and a record whose
+    `errors` are its exit code and the end of its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS),
             "--trace", str(trace)]
-    proc = run_child(argv, copy)
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{argv} in {copy} printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    record = copy / ".perfbench_work" / "results" / \
+    path = copy / ".perfbench_work" / "results" / \
         f"{workload}-seed{seed}-trace{trace}.json"
-    context = json.loads(record.read_text())["context"]
-    return result, context
+    path.unlink(missing_ok=True)
+    proc = run_child(argv, copy)
+    try:
+        return (json.loads(proc.stdout.strip().splitlines()[-1]),
+                json.loads(path.read_text()))
+    except (IndexError, ValueError, OSError):
+        return ({"correct": False, "failed": None, "metrics": {}},
+                {"context": None, "errors": [
+                    f"exit code {proc.returncode}, no result: "
+                    f"{proc.stderr.strip()[-2000:]}"]})
 
 
 def digests(copy: Path, workload: str, seeds) -> dict:
@@ -172,26 +184,32 @@ def summarise(parent_runs, change_runs, better: str) -> dict:
 def run_workload(sides, workload, seeds, better) -> dict:
     runs = {"parent": [], "change": []}
     contexts = {"parent": [], "change": []}
-    clean = True
+    failed = []
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            result, context = bench(sides[side], workload, seed, 0)
-            clean &= result["correct"] and result["failed"] == 0
+            result, record = bench(sides[side], workload, seed, 0)
             runs[side].append({k: v["value"]
                                for k, v in result["metrics"].items()})
-            contexts[side].append(context)
+            contexts[side].append(record["context"])
             print(f"{workload} seed {seed} {side}: " + ", ".join(
                 f"{k} {v:.4g}" for k, v in runs[side][-1].items()),
                 flush=True)
-    metrics = {}
-    for name in runs["parent"][0]:
-        metrics[name] = summarise([r[name] for r in runs["parent"]],
-                                  [r[name] for r in runs["change"]],
-                                  better[name])
-    return {"seeds": list(seeds), "pairs": len(seeds),
-            "correct_and_0_failed": clean, "metrics": metrics,
-            "context": contexts}
+            if not result["correct"] or result["failed"] != 0:
+                failed.append({"side": side, "seed": seed,
+                               "workload": workload,
+                               "errors": record["errors"]})
+                print(f"{workload} seed {seed} {side} FAILED: "
+                      f"{record['errors']}", flush=True)
+    # a pair counts only where both sides reported metrics
+    pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+             if p and c]
+    metrics = {name: summarise([p[name] for p, _ in pairs],
+                               [c[name] for _, c in pairs], better[name])
+               for name in (pairs[0][0] if pairs else ())}
+    return {"seeds": list(seeds), "pairs": len(pairs),
+            "correct_and_0_failed": not failed, "failed_runs": failed,
+            "metrics": metrics, "context": contexts}
 
 
 def main(argv=None) -> int:
@@ -238,14 +256,18 @@ def main(argv=None) -> int:
         if args.traced_seed is not None:
             traced = out[f"traced_seed_{args.traced_seed}"] = {}
             for workload, _ in plan:
-                res = {side: bench(path, workload, args.traced_seed, 1)[0]
+                res = {side: bench(path, workload, args.traced_seed, 1)
                        for side, path in sides.items()}
+                # a side that reported no metrics reads None
+                names = [name for name in better
+                         if any(name in r[0]["metrics"] for r in res.values())]
                 traced[workload] = {
-                    name: {side: res[side]["metrics"][name]["value"]
-                           for side in sides}
-                    for name in res["parent"]["metrics"]}
-                traced[workload]["correct"] = {side: res[side]["correct"]
-                                               for side in sides}
+                    name: {side: r[0]["metrics"].get(name, {}).get("value")
+                           for side, r in res.items()} for name in names}
+                traced[workload]["correct"] = {side: r[0]["correct"]
+                                               for side, r in res.items()}
+                traced[workload]["errors"] = {side: r[1]["errors"]
+                                              for side, r in res.items()}
         if args.digest_seeds:
             seeds = parse_seeds(args.digest_seeds)
             same = out["csv_sha256_equal"] = {"seeds": seeds}
