@@ -32,9 +32,8 @@ from .estimators import (MIN_BATCHES, MIN_REPLICATIONS, cov_mk,
                          stationary_tail, z_value)
 from .rates import (BoundInputs, PLUS_ONE_SHIFT, arrival_rate_closed,
                     arrival_rate_hyper, arrival_rate_plus_one,
-                    asymptotic_tail, chaos_bound, chaos_bound_limit,
-                    clan_growth_factor, clan_intersection_bound,
-                    clan_size_bound, exact_dtype, limit_bound_is_valid,
+                    asymptotic_tail, chaos_bound, clan_growth_factor,
+                    clan_intersection_bound, clan_size_bound, exact_dtype,
                     monotone_threshold, tail_count_cov_bound,
                     uniform_rate_bound)
 
@@ -352,26 +351,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-class _Pool:
-    """Ordered map over `workers` processes (see `podd.workers`).  Order (and
-    so output bytes) does not depend on the worker count because every task
-    owns its own substream."""
-
-    def __init__(self, workers):
-        self.workers = workers
-
-    def map(self, fn, tasks):
-        if self.workers <= 1 or len(tasks) <= 1:
-            return [fn(t) for t in tasks]
+def _map_cells(workers, fn, cell_tasks):
+    """`fn` over the task lists of many cells in one map, so that the workers
+    are forked once per run: the results as one list per cell.  The map
+    runs in this process at one worker or one task, and otherwise over
+    min(workers, tasks, CPUs) forked workers (`podd.workers`).  Every task
+    owns its own substream, so the results, and the output bytes, do not
+    depend on the worker count."""
+    flat = [t for tasks in cell_tasks for t in tasks]
+    w = min(workers, len(flat), os.cpu_count() or 1)
+    if w <= 1:
+        results = iter([fn(t) for t in flat])
+    else:
         # imported here: a run at one worker never loads it
         from .workers import fork_map
-        return fork_map(fn, tasks, self.workers)
-
-
-def _map_cells(pool, fn, cell_tasks):
-    """`fn` over the task lists of many cells in one map, so that the workers
-    are forked once per run: the results as one list per cell."""
-    results = iter(pool.map(fn, [t for tasks in cell_tasks for t in tasks]))
+        results = iter(fork_map(fn, flat, w))
     return [list(itertools.islice(results, len(tasks)))
             for tasks in cell_tasks]
 
@@ -380,7 +374,7 @@ def _map_cells(pool, fn, cell_tasks):
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def _run_bounds(spec, out_dir, pool):
+def _run_bounds(spec, out_dir, workers):
     rows = []
     for n, d, lam, t in _cells(spec, "N", "D", "lam", "t"):
         inp = BoundInputs(n, d, lam, t)
@@ -389,17 +383,14 @@ def _run_bounds(spec, out_dir, pool):
                      _fmt(clan_size_bound(inp)),
                      _fmt(clan_intersection_bound(inp)),
                      _fmt(chaos_bound(inp)),
-                     _fmt(chaos_bound_limit(inp)),
-                     int(limit_bound_is_valid(inp)),
                      _fmt(tail_count_cov_bound(inp))])
     _write_csv(os.path.join(out_dir, "bounds.csv"),
                ["N", "D", "lambda", "t", "growth", "size_bound",
-                "intersect_bound", "cov_bound", "cov_bound_limit",
-                "limit_valid", "tail_cov_bound"], rows)
+                "intersect_bound", "cov_bound", "tail_cov_bound"], rows)
     return 0
 
 
-def _run_rates_check(spec, out_dir, pool):
+def _run_rates_check(spec, out_dir, workers):
     # Every rate is lam * P / Q with Q > 0 and lam > 0, so two rates at one
     # load compare exactly as P1 * Q2 against P2 * Q1, and no check depends
     # on the load: each kernel runs once per (N, D) cell, on every
@@ -461,11 +452,11 @@ def _run_rep(task):
                times, rng.child("run"), record_events=spec.record_events)
 
 
-def _run_simulate(spec, out_dir, pool):
+def _run_simulate(spec, out_dir, workers):
     times = (spec.sample_times if spec.sample_times is not None
              else np.linspace(0.0, spec.horizon, 65))
     cells = list(_cells(spec, "N", "D", "lam"))
-    per_cell = _map_cells(pool, _run_rep, [
+    per_cell = _map_cells(workers, _run_rep, [
         _run_tasks(spec, f"sim-{n}-{d}-{lam}", n, d, lam, spec.horizon, times)
         for n, d, lam in cells])
     # (replication, cell, (trajectory, arrival log)) per run
@@ -495,17 +486,17 @@ def _run_simulate(spec, out_dir, pool):
 
 def _chaos_rep(task):
     """A `chaos` replication: its tail counts at t, the horizon and only
-    sample time, which is all `cov_mk` reads.  What crosses the pool is
+    sample time, which is all `cov_mk` reads.  What crosses the pipe is
     O(K) for K levels, not the O(N) trajectory."""
     traj, _ = _run_rep(task)
     return snapshot(traj, task[3])
 
 
-def _run_chaos(spec, out_dir, pool):
+def _run_chaos(spec, out_dir, workers):
     rows = []
     failures = 0
     cells = list(_cells(spec, "N", "D", "lam", "t"))
-    per_cell = _map_cells(pool, _chaos_rep, [
+    per_cell = _map_cells(workers, _chaos_rep, [
         _run_tasks(spec, f"chaos-{n}-{d}-{lam}-{t}", n, d, lam, t, [t])
         for n, d, lam, t in cells])
     for (n, d, lam, t), snaps in zip(cells, per_cell):
@@ -524,7 +515,7 @@ def _run_chaos(spec, out_dir, pool):
     return 1 if failures else 0
 
 
-def _run_clan(spec, out_dir, pool):
+def _run_clan(spec, out_dir, workers):
     rows = []
     failures = 0
     base = RngStream(spec.seed)
@@ -564,7 +555,7 @@ def _tagged_rep(task):
     return int(traj.final_lengths[0])
 
 
-def _run_tagged(spec, out_dir, pool):
+def _run_tagged(spec, out_dir, workers):
     rows = []
     # binomial-style noise scale on a TV estimate
     ci = z_value(0.95) * math.sqrt(0.25 / spec.replications) * (spec.k_max + 1) ** 0.5
@@ -579,7 +570,7 @@ def _run_tagged(spec, out_dir, pool):
         jobs += [[(_tagged_rep, task) for task in _run_tasks(
             spec, f"tagged-{n}-{d}-{lam}-{t}", n, d, lam, t, [])] for n in ns]
     laws = iter([level_distribution(values, spec.k_max) for values in
-                 _map_cells(pool, lambda job: job[0](job[1]), jobs)])
+                 _map_cells(workers, lambda job: job[0](job[1]), jobs)])
     for (d, lam, t), ns in groups:
         cav = next(laws)
         for n in ns:
@@ -590,11 +581,11 @@ def _run_tagged(spec, out_dir, pool):
     return 0
 
 
-def _run_stationary(spec, out_dir, pool):
+def _run_stationary(spec, out_dir, workers):
     rows = []
     cells = [(n, d, lam, *_stationary_grid(spec, lam))
              for n, d, lam in _cells(spec, "N", "D", "lam")]
-    per_cell = _map_cells(pool, _run_rep, [
+    per_cell = _map_cells(workers, _run_rep, [
         _run_tasks(spec, f"stationary-{n}-{d}-{lam}", n, d, lam, spec.horizon,
                    times) for n, d, lam, times, _ in cells])
     for (n, d, lam, _, warmup), [(traj, _)] in zip(cells, per_cell):
@@ -617,10 +608,10 @@ def _coupled_rep(task):
             pair.tagged_hits[0], pair.tagged_hits[1])
 
 
-def _run_coupled(spec, out_dir, pool):
+def _run_coupled(spec, out_dir, workers):
     rows = []
     cells = list(_cells(spec, "N", "D", "lam"))
-    per_cell = _map_cells(pool, _coupled_rep, [
+    per_cell = _map_cells(workers, _coupled_rep, [
         _reps(spec, f"coupled-{n}-{d}-{lam}", n, d, lam, spec,
               _shared_start(spec, n)) for n, d, lam in cells])
     for (n, d, lam), results in zip(cells, per_cell):
@@ -649,7 +640,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1) -> int:
     """Execute one experiment; writes CSVs plus manifest.json into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     start = time.monotonic()
-    code = _DRIVERS[spec.kind](spec, out_dir, _Pool(workers))
+    code = _DRIVERS[spec.kind](spec, out_dir, workers)
     manifest = {
         "spec": spec.to_json(),
         "version": __version__,

@@ -47,7 +47,8 @@ PLUS_ONE_SHIFT = {"below": (0, 0), "equal": (1, 0), "above": (1, 1)}
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Parameters of the correlation / clan bounds at a time horizon."""
+    """Parameters of the correlation / clan bounds at a time horizon.  Every
+    bound needs n > d, so building the inputs checks it."""
 
     n: int
     d: int
@@ -55,8 +56,8 @@ class BoundInputs:
     t: float
 
     def __post_init__(self):
-        if self.n < 2 or self.d < 1:
-            raise ValueError("need n >= 2 and d >= 1")
+        if not self.n > self.d >= 1:
+            raise ValueError("need n > d >= 1")
         if not 0 < self.lam < 1:
             raise ValueError("load must lie in (0, 1)")
         if self.t < 0:
@@ -177,16 +178,13 @@ def arrival_rate_plus_one(n: int, d: int, pi_k: int, pi_k1: int,
 # Clan and correlation bounds
 # ---------------------------------------------------------------------------
 
-def _require_room(inp: BoundInputs):
-    if inp.n <= inp.d:
-        raise ValueError("bound needs n > d")
-
-
 def _inf_past_float_range(bound):
     """The bounds' one overflow rule: where a step (`math.exp`,
     `math.ldexp`, a float power) leaves the float range, the bound reads
-    inf.  Where a bound's (3/2)^d factor multiplies 0, as at t = 0, the
-    bound skips it: from d = 1751 the factor is past the float range."""
+    inf.  It wraps the growth factor and the intersection bound, and the
+    size, covariance and tail bounds read their inf from those two.  Where
+    the (3/2)^d factor multiplies 0, as at t = 0, the intersection bound
+    skips it: from d = 1751 the factor is past the float range."""
     @wraps(bound)
     def checked(inp):
         try:
@@ -207,14 +205,12 @@ def _growth_exponent(inp: BoundInputs) -> float:
 def clan_growth_factor(inp: BoundInputs) -> float:
     """Exponential envelope exp(2^(d-1) * lam * d * n * t / (n-d)) driving the
     clan-size logistic bound."""
-    _require_room(inp)
     return math.exp(_growth_exponent(inp))
 
 
 def clan_size_bound(inp: BoundInputs) -> float:
     """Logistic ceiling on the expected number of servers whose history can
     influence a given server over the last t time units."""
-    _require_room(inp)
     u = clan_growth_factor(inp)
     if math.isinf(inp.n * u):    # then n u / (n + u - 1) rounds to n
         return float(inp.n)
@@ -238,7 +234,6 @@ def _log_bracket(inp: BoundInputs) -> float:
 def clan_intersection_bound(inp: BoundInputs) -> float:
     """Upper bound on the probability that the influence clans of two distinct
     servers overlap."""
-    _require_room(inp)
     bracket = _log_bracket(inp)
     if bracket == 0.0:    # t = 0
         return 0.0
@@ -251,32 +246,11 @@ def chaos_bound(inp: BoundInputs) -> float:
     return 1.0 / inp.n + 2.0 * clan_intersection_bound(inp)
 
 
-@_inf_past_float_range
-def chaos_bound_limit(inp: BoundInputs) -> float:
-    """Large-n simplification (1 + (3/2)^d (e^(2^d lam d t) - 1)) / n, valid
-    for n past an unquantified threshold; see `limit_bound_is_valid`."""
-    lift = math.exp(math.ldexp(inp.lam * inp.d * inp.t, inp.d)) - 1.0
-    if lift == 0.0:    # t = 0
-        return 1.0 / inp.n
-    return (1.0 + 1.5 ** inp.d * lift) / inp.n
-
-
-def limit_bound_is_valid(inp: BoundInputs) -> bool:
-    """Heuristic validity flag for the large-n bound; the threshold is never
-    quantified, so flag anything below 10*d as suspect."""
-    return inp.n >= 10 * inp.d
-
-
-@_inf_past_float_range
 def tail_count_cov_bound(inp: BoundInputs) -> float:
     """Covariance bound for the raw (non-normalized) tail counts:
-    2 (3/2)^d n^2 (n-1) / (n-d) * [log bracket] + n."""
-    _require_room(inp)
+    n + 2 n (n-1) times the clan-intersection bound."""
     n = inp.n
-    bracket = _log_bracket(inp)
-    if bracket == 0.0:    # t = 0
-        return float(n)
-    return 2.0 * (1.5 ** inp.d) * n * n * (n - 1.0) / (n - inp.d) * bracket + n
+    return n + 2.0 * n * (n - 1.0) * clan_intersection_bound(inp)
 
 
 # ---------------------------------------------------------------------------

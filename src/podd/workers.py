@@ -5,7 +5,7 @@ the task list and runs tasks j, j+w, j+2w, ..., so no task is pickled; it
 sends back one pickled list of its results through a pipe, and the parent
 puts them back in task order.  Forking is safe because a podd process runs
 one thread.  The CLI imports this module only for a map with more than one
-worker and more than one task, so a run at one worker never loads it.
+worker, task and CPU, so a run at one worker never loads it.
 """
 import os
 import pickle

@@ -18,6 +18,7 @@ import pytest
 import podd.cli
 from podd.cli import ConfigError, main, parse_config, run_experiment
 from podd.rates import asymptotic_tail
+from podd.workers import fork_map
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -230,6 +231,7 @@ class TestExitCodes:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        _pin_cpus(monkeypatch, 2)
         cfg = write_config(tmp_path, {**SIM4, "replications": 2})
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--workers", "2"]) == 2
@@ -446,15 +448,16 @@ class TestBounds:
         for r in rows:
             assert float(r["cov_bound"]) == 1.0 / int(r["N"])
 
-    def test_limit_past_float_range_reads_inf(self, tmp_path):
-        cfg = write_config(tmp_path, {"kind": "bounds", "N": [200],
-                                      "D": [10], "lambda": [0.9], "t": [1.0],
-                                      "seed": 1})
+    def test_header_holds_only_proved_bounds(self, tmp_path):
+        # no large-N limit, whose threshold the paper never gives, and no
+        # flag guessing that threshold
+        cfg = write_config(tmp_path, MINIMAL_BOUNDS)
         out = tmp_path / "b"
         assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "bounds.csv") as fh:
-            row, = csv.DictReader(fh)
-        assert row["cov_bound_limit"] == "inf"
+            header = next(csv.reader(fh))
+        assert header == ["N", "D", "lambda", "t", "growth", "size_bound",
+                          "intersect_bound", "cov_bound", "tail_cov_bound"]
 
     def test_finite_where_n_times_growth_passes_float_range(self, tmp_path):
         # growth 1.12e306 times N = 2000 is past the float range; the bounds
@@ -476,7 +479,7 @@ class TestBounds:
     def test_large_d_reads_as_d_20(self, tmp_path):
         # 2 ** (D - 1) is past the float range from D = 1025 and 1.5 ** D
         # from D = 1751: at t = 0 the rows still read growth 1, size 1,
-        # intersect 0, cov and limit 1/N and tail N; at t = 1 they read inf
+        # intersect 0, cov 1/N and tail N; at t = 1 they read inf
         # (size N), as at D = 20
         cfg = write_config(tmp_path, {"kind": "bounds", "N": [2000],
                                       "D": [20, 1100, 1800], "lambda": [0.5],
@@ -486,11 +489,10 @@ class TestBounds:
         with open(out / "bounds.csv") as fh:
             rows = list(csv.DictReader(fh))
         bounds = ["growth", "size_bound", "intersect_bound", "cov_bound",
-                  "cov_bound_limit", "tail_cov_bound"]
+                  "tail_cov_bound"]
         got = {(r["D"], r["t"]): [r[c] for c in bounds] for r in rows}
-        assert got[("20", "0.0")] == ["1.0", "1.0", "0.0", "0.0005", "0.0005",
-                                      "2000.0"]
-        assert got[("20", "1.0")] == ["inf", "2000.0"] + ["inf"] * 4
+        assert got[("20", "0.0")] == ["1.0", "1.0", "0.0", "0.0005", "2000.0"]
+        assert got[("20", "1.0")] == ["inf", "2000.0"] + ["inf"] * 3
         for d in ("1100", "1800"):
             for t in ("0.0", "1.0"):
                 assert got[(d, t)] == got[("20", t)]
@@ -590,6 +592,25 @@ def read_all(out_dir):
     return blobs
 
 
+def _pin_cpus(monkeypatch, n):
+    """Report n CPUs, so that a map forks min(workers, tasks, n) children
+    whatever the host has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _counted_forks(monkeypatch):
+    """A list that gains one entry per `os.fork` call from here on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 class TestDeterminism:
     SIM = {"kind": "simulate", "N": [12], "D": [2], "lambda": [0.5],
            "horizon": 3.0, "seed": 11, "replications": 4,
@@ -602,7 +623,8 @@ class TestDeterminism:
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         assert read_all(a) == read_all(b)
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        _pin_cpus(monkeypatch, 3)
         cfg = write_config(tmp_path, self.SIM)
         a, b = tmp_path / "w1", tmp_path / "w2"
         assert main(["simulate", "--config", cfg, "--out", str(a),
@@ -617,14 +639,8 @@ class TestDeterminism:
 
     def test_one_fork_per_worker_per_run(self, tmp_path, monkeypatch):
         # the cavity map and one map per N each started the workers
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
+        _pin_cpus(monkeypatch, 2)
+        forks = _counted_forks(monkeypatch)
         cfg = write_config(tmp_path, self.TAGGED)
         a, b = tmp_path / "w1", tmp_path / "w2"
         assert main(["tagged", "--config", cfg, "--out", str(a),
@@ -635,13 +651,28 @@ class TestDeterminism:
         assert len(forks) == 2
         assert read_all(a) == read_all(b)
 
+    def test_workers_are_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+        # --workers went to the map as given: 64 would fork one child per
+        # task, up to the number of tasks
+        _pin_cpus(monkeypatch, 2)
+        forks = _counted_forks(monkeypatch)
+        cfg = write_config(tmp_path, self.TAGGED)
+        a, b = tmp_path / "w1", tmp_path / "w64"
+        assert main(["tagged", "--config", cfg, "--out", str(a),
+                     "--workers", "1"]) == 0
+        assert main(["tagged", "--config", cfg, "--out", str(b),
+                     "--workers", "64"]) == 0
+        assert len(forks) == 2
+        assert read_all(a) == read_all(b)
+
     def test_import_leaves_the_pool_out(self, tmp_path):
         # a 1-worker run does not load podd.workers, and a 2-worker run
         # loads neither process-pool package
         cfg = write_config(tmp_path, self.TAGGED)
         script = """\
-import json, sys
+import json, os, sys
 import podd.cli
+os.cpu_count = lambda: 2
 cfg, out = sys.argv[1:]
 seen = []
 for w in "12":
@@ -672,8 +703,10 @@ print(json.dumps(seen))
     }
 
     @pytest.mark.parametrize("kind", BY_KIND)
-    def test_bytes_do_not_depend_on_workers(self, tmp_path, kind):
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch,
+                                            kind):
         # 31 replications over 2 or 3 workers leave them unequal shares
+        _pin_cpus(monkeypatch, 3)
         cfg = write_config(tmp_path, {"kind": kind, "seed": 5,
                                       **self.BY_KIND[kind]})
         outs = []
@@ -704,15 +737,14 @@ def _exit_3_on_1(x):
 
 
 class TestForkMap:
-    """`_Pool.map` at more than one worker forks one child per worker
-    (`podd.workers.fork_map`)."""
+    """`podd.workers.fork_map` forks one child per worker."""
 
     def test_task_error_is_raised_in_the_parent(self):
         # worker 2 is still asleep when worker 1's error arrives: it is
         # killed, not waited for
         t0 = time.monotonic()
         with pytest.raises(ValueError, match="task 0 failed") as info:
-            podd.cli._Pool(2).map(_raise_on_0_wait_on_1, [0, 1, 2, 3])
+            fork_map(_raise_on_0_wait_on_1, [0, 1, 2, 3], 2)
         assert time.monotonic() - t0 < 30
         cause = str(info.value.__cause__)
         assert cause.startswith("worker 1 of 2 raised:\nTraceback")
@@ -724,15 +756,14 @@ class TestForkMap:
         with pytest.raises(ChildProcessError,
                            match="^worker 2 of 3 ended with exit status 3 "
                                  "and sent no result$"):
-            podd.cli._Pool(3).map(_exit_3_on_1, list(range(7)))
+            fork_map(_exit_3_on_1, list(range(7)), 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("workers,tasks", [(2, []), (5, [1, 2, 3]),
                                                (2, list(range(9)))])
     def test_results_in_task_order(self, workers, tasks):
-        assert podd.cli._Pool(workers).map(_square, tasks) == \
-            [x * x for x in tasks]
+        assert fork_map(_square, tasks, workers) == [x * x for x in tasks]
 
 
 def _podd_env(**extra):
@@ -1000,7 +1031,7 @@ class TestPinnedDigests:
          {"kind": "bounds", "N": [2, 3, 5], "D": [2, 3], "lambda": [0.5, 0.9],
           "t": [0.5, 1.0], "seed": 36},
          {"bounds.csv":
-          "e7dac9faaf2173bdfcdf8345d7e9fb5f70855ef7e438690e7b4ed1310b981dbd"}),
+          "7ca4b7b860c82ec6820a100b4fe9337534be7bf12399cd22442e9849b45daf10"}),
     ]
 
     @pytest.mark.parametrize("doc,digests", [c[1:] for c in CASES],

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from podd.rates import (PLUS_ONE_SHIFT, BoundInputs, arrival_rate_closed,
                         arrival_rate_hyper, arrival_rate_plus_one,
                         asymptotic_tail, cavity_rate, chaos_bound,
-                        chaos_bound_limit, clan_growth_factor,
-                        clan_intersection_bound, clan_size_bound,
-                        exact_dtype, limit_bound_is_valid,
-                        monotone_threshold, tail_count_cov_bound,
-                        uniform_rate_bound)
+                        clan_growth_factor, clan_intersection_bound,
+                        clan_size_bound, exact_dtype, monotone_threshold,
+                        tail_count_cov_bound, uniform_rate_bound)
 
 HALF = Fraction(1, 2)
 
@@ -342,36 +340,21 @@ class TestClanBounds:
         with pytest.raises(ValueError):
             clan_size_bound(BoundInputs(3, 3, 0.5, 1.0))
 
+    # every bound needs n > d >= 1, so the inputs refuse to be built
+    @pytest.mark.parametrize("n,d", [(3, 3), (2, 5), (5, 0)])
+    def test_inputs_need_room(self, n, d):
+        with pytest.raises(ValueError, match="n > d >= 1"):
+            BoundInputs(n, d, 0.5, 1.0)
+
 
 class TestChaosBounds:
     def test_at_zero(self):
         assert chaos_bound(BoundInputs(100, 2, 0.5, 0.0)) == 1 / 100
-        assert chaos_bound_limit(BoundInputs(100, 2, 0.5, 0.0)) == 1 / 100
 
     def test_value(self):
         v = chaos_bound(BoundInputs(100, 2, 0.5, 1.0))
         assert math.isclose(v, 1.2424125660137075, rel_tol=1e-12)
         assert v > 1.0  # vacuous at small N, as expected
-
-    def test_limit_value(self):
-        v = chaos_bound_limit(BoundInputs(1000, 2, 0.5, 1.0))
-        expected = (1 + 2.25 * (math.exp(4) - 1)) / 1000
-        assert math.isclose(v, expected, rel_tol=1e-15)
-        assert math.isclose(v, 0.12159583757457452, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("d,lam", [(10, 0.9), (8, 0.5)])
-    def test_limit_past_float_range_is_inf(self, d, lam):
-        # e^(2^d lam d t) is past the float range: 2^10 * 0.9 * 10 = 9216
-        assert chaos_bound_limit(BoundInputs(200, d, lam, 1.0)) == math.inf
-
-    def test_limit_scaling_exact(self):
-        a = chaos_bound_limit(BoundInputs(500, 2, 0.5, 1.0))
-        b = chaos_bound_limit(BoundInputs(2000, 2, 0.5, 1.0))
-        assert math.isclose(a / b, 4.0, rel_tol=1e-12)
-
-    def test_validity_flag(self):
-        assert limit_bound_is_valid(BoundInputs(100, 2, 0.5, 1.0))
-        assert not limit_bound_is_valid(BoundInputs(25, 3, 0.5, 1.0))
 
     def test_tail_cov_bound(self):
         assert tail_count_cov_bound(BoundInputs(100, 2, 0.5, 0.0)) == 100.0
@@ -379,6 +362,24 @@ class TestChaosBounds:
         # same bracket as the normalized bound, scaled by N^2(N-1)/N, plus N
         bracket = (chaos_bound(BoundInputs(100, 2, 0.5, 1.0)) - 1 / 100) / 2
         assert math.isclose(v, 2 * bracket * 100 * 99 + 100, rel_tol=1e-12)
+
+    # n + 2 n (n-1) (3/2)^d n/(n-d) [bracket] in 80-digit decimal, at the
+    # float loads' exact values; the intersection bound's error near u = 1
+    # (5.7e-13 at n = 10^6) is the tail bound's
+    @pytest.mark.parametrize("n,d,lam,t", [
+        (10**6, 2, 0.5, 1e-3), (10**4, 3, 0.5, 1e-6), (2000, 2, 0.5, 1.0),
+        (20, 2, 0.3, 1.0), (5, 3, 0.9, 0.5), (1000, 5, 0.7, 0.01)])
+    def test_tail_cov_bound_against_decimal(self, n, d, lam, t):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            u = (2 ** (d - 1) * Decimal(lam) * d * n * Decimal(t)
+                 / (n - d)).exp()
+            bracket = (n * ((n + u - 1) / n).ln()
+                       - (n - 1) * (u - 1) / (n + u - 1))
+            want = float(n + 2 * n * (n - 1) * Decimal("1.5") ** d * n
+                         / (n - d) * bracket)
+        got = tail_count_cov_bound(BoundInputs(n, d, lam, t))
+        assert math.isclose(got, want, rel_tol=1e-11)
 
 
 class TestAsymptoticTail:

@@ -3,7 +3,7 @@
     python3 tools/rep_cost.py                    # this checkout's src/
     python3 tools/rep_cost.py --src OTHER/src    # another checkout
 
-Times the functions the drivers map over a pool, at the `many-reps`
+Times the functions the drivers map over the workers, at the `many-reps`
 benchmark's sizes: `podd.cli._chaos_rep` on a `chaos` cell at N=200, D=2,
 lambda=0.5, FIFO, exponential service, empty start, for t = 1e-9 and t = 1;
 the two replications of a `tagged` cell at N=200, D=2, lambda=0.5, t=2,
