@@ -69,9 +69,12 @@ def run_cavity(D, lam, dist: ServiceDistribution, disc: Discipline, horizon,
     bound = lam * (p / q)
     sysm = _System(1, disc)
     enext, unext, snext = _buffers(gen, dist)
-    arrive, lengths = sysm.arrive, sysm.lengths
+    arrive, advance, due, lengths = (sysm.arrive, sysm.advance, sysm.due,
+                                     sysm.lengths)
 
     def on_candidate(t):
+        if due[0] <= t:
+            advance(0, t)
         k = lengths[0]
         rate = cavity_rate(D, lam, asymptotic_tail(D, lam, k),
                            asymptotic_tail(D, lam, k + 1))
@@ -107,8 +110,8 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
 
     Both systems live in one kernel of 2N+1 servers: 0..N-1 are the small
     system and N..2N the large one (server N+i is the large system's server
-    i, and 2N its extra server), so one heap orders all departures and, on a
-    tie, the small system's go first.
+    i, and 2N its extra server).  An arrival advances the servers of its
+    D-set to its time, in the systems it samples, before it is routed.
     """
     _check_system(N, D, lam, init)
     gen = as_generator(rng)
@@ -121,7 +124,8 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     sysm = _System(2 * N + 1, disc, init.queues * 2 + [[]])
     enext, unext, snext = _buffers(gen, dist)
     draw, route = _candidates(gen, unext, N, D)
-    arrive, lengths = sysm.arrive, sysm.lengths
+    arrive, advance, due, lengths = (sysm.arrive, sysm.advance, sysm.due,
+                                     sysm.lengths)
 
     def draw_blue():   # the extra server plus D-1 of the first N
         rest = _sample_zeta(gen, unext, N, D - 1) if D > 1 else ()
@@ -140,6 +144,11 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         if u <= to_yellow:
             counts["yellow"] += 1
             zeta = draw()
+            for s in zeta:
+                if due[s] <= t:
+                    advance(s, t)
+                if due[N + s] <= t:
+                    advance(N + s, t)
             u = unext()
             tie = lambda: u   # the same tie-break in both systems
             s_small = route(lengths, zeta, tie)
@@ -157,6 +166,9 @@ def run_coupled(N, D, lam, dist: ServiceDistribution, disc: Discipline,
         stream, draw_set, off, arr = private[side]
         counts[stream] += 1
         zeta = draw_set()
+        for s in zeta:
+            if due[off + s] <= t:
+                advance(off + s, t)
         s = route(lengths, zeta, unext, off)
         arrive(off + s, t, snext())
         hits[side] += s == 0

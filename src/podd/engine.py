@@ -11,7 +11,6 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
-from heapq import heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -121,30 +120,32 @@ def _candidates(gen, u, n, d):
 
 
 class _System:
-    """Mutable queue state of one system plus its departure schedule.
+    """Mutable queue state of one system, with each server's departures
+    applied lazily.
 
     `_System(n, discipline, queues)` builds that discipline's kernel:
     `_Fifo`, `_Ps` or `_LifoPr`, with n empty servers, and loads each
     residual of `queues[s]` onto server s, in order, through `arrive` at
-    time 0.  `arrive` rejects a residual that is not positive.  The
-    departure heap holds (time, server, version) entries; a server's
-    version rises with each push, so an entry whose version is not the
-    server's current one is a schedule made stale by preemption or a share
-    change, and on a tie in time and server the older entry goes first.
-    Every kernel leaves a live entry on top of the heap after each `arrive`
-    and `depart`, so its top is the next departure and `depart` pops it
-    once; stale entries may stay under the top until they reach it.
+    time 0.  `arrive` rejects a residual that is not positive.  `due[s]` is
+    the time the job in service on server s finishes (inf when the server
+    is idle), and `advance(s, t)` applies that server's departures at times
+    up to a finite t.  A server's state is exact only once it has been
+    advanced to the time it is read at: `arrive(s, t, ...)` needs
+    `due[s] > t`, and so does any read of `lengths[s]` or `jobs[s]`.
+    Servers share nothing, so the order in which they are advanced does not
+    matter.  Each departure is appended to `log`, when it is a list, as
+    (time, server).
     """
 
-    __slots__ = ("lengths", "jobs", "last", "ver", "heap")
+    __slots__ = ("lengths", "jobs", "last", "due", "log")
 
-    def __new__(cls, n, discipline: Discipline, queues=()):
+    def __new__(cls, n, discipline: Discipline, queues=(), log=None):
         return object.__new__(_KERNELS[discipline])
 
-    def __init__(self, n, discipline, queues=()):
+    def __init__(self, n, discipline, queues=(), log=None):
         self.last = [0.0] * n
-        self.ver = [0] * n
-        self.heap = []
+        self.due = [math.inf] * n
+        self.log = log
         self.jobs = [[] for _ in range(n)]
         self.lengths = [0] * n
         for s, residuals in enumerate(queues):
@@ -154,8 +155,8 @@ class _System:
 
 class _Fifo(_System):
     """Only the head job is served, and its finish time is fixed when it
-    reaches the head, so residuals are never advanced and `last` is unused.
-    A server has at most one schedule, never stale, so versions stay 0."""
+    reaches the head, so residuals are never advanced and `last` is
+    unused."""
 
     __slots__ = ()
 
@@ -165,16 +166,18 @@ class _Fifo(_System):
         self.jobs[s].append(residual)
         self.lengths[s] += 1
         if self.lengths[s] == 1:
-            heappush(self.heap, (t + residual, s, 0))
+            self.due[s] = t + residual
 
-    def depart(self):
-        t, s, _ = heappop(self.heap)
-        js = self.jobs[s]
-        js.pop(0)
-        self.lengths[s] -= 1
-        if js:
-            heappush(self.heap, (t + js[0], s, 0))
-        return t, s
+    def advance(self, s, t):
+        js, lengths, log = self.jobs[s], self.lengths, self.log
+        d = self.due[s]
+        while d <= t:
+            js.pop(0)
+            lengths[s] -= 1
+            if log is not None:
+                log.append((d, s))
+            d = d + js[0] if js else math.inf
+        self.due[s] = d
 
 
 class _Ps(_System):
@@ -188,9 +191,9 @@ class _Ps(_System):
 
     __slots__ = ("vt",)
 
-    def __init__(self, n, discipline, queues=()):
+    def __init__(self, n, discipline, queues=(), log=None):
         self.vt = [0.0] * n
-        _System.__init__(self, n, discipline, queues)
+        _System.__init__(self, n, discipline, queues, log)
 
     def arrive(self, s, t, residual):
         if residual <= 0:
@@ -203,30 +206,26 @@ class _Ps(_System):
         v = vt[s]
         insort(js, v + residual)
         self.lengths[s] = n = n + 1
-        heap, ver = self.heap, self.ver
-        ver[s] = k = ver[s] + 1
         due = n * (js[0] - v)
-        heappush(heap, (t + due if due > 0.0 else t, s, k))
-        while heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)    # the server's last schedule, and any under it
+        self.due[s] = t + due if due > 0.0 else t
 
-    def depart(self):
-        heap, ver = self.heap, self.ver
-        t, s, _ = heappop(heap)
-        js = self.jobs[s]
-        self.last[s] = t
-        tag = js.pop(0)
-        self.lengths[s] = n = len(js)
-        ver[s] = k = ver[s] + 1
-        if n:
-            self.vt[s] = tag
-            due = n * (js[0] - tag)
-            heappush(heap, (t + due if due > 0.0 else t, s, k))
-        else:
-            self.vt[s] = 0.0    # the clock resets when the server empties
-        while heap and heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)
-        return t, s
+    def advance(self, s, t):
+        js, vt, log = self.jobs[s], self.vt, self.log
+        d = self.due[s]
+        while d <= t:
+            self.last[s] = d
+            tag = js.pop(0)
+            self.lengths[s] = n = len(js)
+            if log is not None:
+                log.append((d, s))
+            if n:
+                vt[s] = tag
+                due = n * (js[0] - tag)
+                d = d + due if due > 0.0 else d
+            else:
+                vt[s] = 0.0    # the clock resets when the server empties
+                d = math.inf
+        self.due[s] = d
 
 
 class _LifoPr(_System):
@@ -245,26 +244,23 @@ class _LifoPr(_System):
             js[-1] -= dt
         js.append(residual)
         self.lengths[s] += 1
-        heap, ver = self.heap, self.ver
-        ver[s] = v = ver[s] + 1
-        heappush(heap, (t + residual, s, v))
-        while heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)    # the preempted job's schedule, and any under it
+        self.due[s] = t + residual
 
-    def depart(self):
-        heap, ver = self.heap, self.ver
-        t, s, _ = heappop(heap)
-        self.last[s] = t
-        js = self.jobs[s]
-        js.pop()     # the job in service, done at t
-        self.lengths[s] -= 1
-        ver[s] = k = ver[s] + 1
-        if js:
-            due = js[-1]
-            heappush(heap, (t + due if due > 0.0 else t, s, k))
-        while heap and heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)
-        return t, s
+    def advance(self, s, t):
+        js, lengths, log = self.jobs[s], self.lengths, self.log
+        d = self.due[s]
+        while d <= t:
+            self.last[s] = d
+            js.pop()     # the job in service, done at d
+            lengths[s] -= 1
+            if log is not None:
+                log.append((d, s))
+            if js:
+                due = js[-1]
+                d = d + due if due > 0.0 else d
+            else:
+                d = math.inf
+        self.due[s] = d
 
 
 _KERNELS = {FIFO: _Fifo, PS: _Ps, LIFO_PR: _LifoPr}
@@ -283,17 +279,17 @@ def _buffers(gen, dist):
             _draws(lambda: dist.sample(gen, _CHUNK)))
 
 
-def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
-           departures=None):
+def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival):
     """The event loop: advance `sysm` over [0, horizon].
 
     Epochs of a Poisson process of rate `rate` (gaps `enext() / rate`) are
-    handed to `on_arrival(t)`; departures are popped in time order, and a
-    departure goes first when it ties with an epoch.  At each sample time
-    every view, a server range (lo, hi), is snapshotted; one Trajectory per
-    view is returned.  Departures are appended to `departures` as
-    (t, server) when a list is given.  Sample times must lie in
-    [0, horizon].
+    handed to `on_arrival(t)`, which advances to t each server it reads or
+    joins.  Every other departure is applied at the next sample time or at
+    the horizon, when every server is advanced.  At each sample time every
+    view, a server range (lo, hi), is snapshotted; one Trajectory per view
+    is returned.  A sample time sees each departure and each arrival at or
+    before it, and a departure tied with an arrival on its server is
+    applied first.  Sample times must lie in [0, horizon].
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and positive")
@@ -303,35 +299,34 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival,
     if samples and (samples[0] < 0.0 or samples[-1] > horizon):
         raise ValueError("sample times must lie in [0, horizon]")
 
-    depart, heap = sysm.depart, sysm.heap
-    lengths = sysm.lengths
-    inf = math.inf
+    advance, due, lengths = sysm.advance, sysm.due, sysm.lengths
+
+    def advance_all(t):
+        for s, d in enumerate(due):
+            if d <= t:
+                advance(s, t)
+
     kept = [(lo, hi, []) for lo, hi in views]
     times = np.asarray(samples)
-    samples.append(inf)    # a sentinel no event time exceeds
+    samples.append(math.inf)    # a sentinel no arrival time exceeds
     si, next_sample = 0, samples[0]
-    next_arr = enext() / rate
+    t = enext() / rate
 
     while True:
-        next_dep = heap[0][0] if heap else inf
-        nxt = next_arr if next_arr < next_dep else next_dep
-        # every sample is <= horizon, so once nxt passes the horizon all
-        # that are left are taken before the loop ends
-        while next_sample < nxt:
+        # every sample is <= horizon, so once t passes the horizon all that
+        # are left are taken before the loop ends
+        while next_sample < t:
+            advance_all(next_sample)
             for lo, hi, snaps in kept:
                 snaps.append(_snapshot(lengths[lo:hi]))
             si += 1
             next_sample = samples[si]
-        if nxt > horizon:
+        if t > horizon:
             break
-        if next_dep <= next_arr:
-            t, s = depart()
-            if departures is not None:
-                departures.append((t, s))
-        else:
-            on_arrival(next_arr)
-            next_arr += enext() / rate
+        on_arrival(t)
+        t += enext() / rate
 
+    advance_all(horizon)
     return [Trajectory(times, snaps, np.asarray(lengths[lo:hi], dtype=int))
             for lo, hi, snaps in kept]
 
@@ -355,21 +350,35 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
     Returns a Trajectory sampled at `sample_times` and the realized EventLog.
     `record_events` can be switched off for long runs where the arrival list
     (with its sampled candidate sets) would dominate memory; the arrival
-    count is kept either way.  Deterministic given identical inputs and rng.
+    count is kept either way.  With `record_departures` the log holds every
+    departure as (time, server), in that order.  Deterministic given
+    identical inputs and rng.
     """
     _check_system(N, D, lam, init)
     gen = as_generator(rng)
-    sysm = _System(N, disc, init.queues)
+    departures = [] if record_departures else None
+    sysm = _System(N, disc, init.queues, departures)
     enext, unext, snext = _buffers(gen, dist)
     draw, route = _candidates(gen, unext, N, D)
-    arrive, lengths = sysm.arrive, sysm.lengths
+    arrive, advance, due, lengths = (sysm.arrive, sysm.advance, sysm.due,
+                                     sysm.lengths)
     arrivals = []
-    departures = [] if record_departures else None
     n_arr = 0
+    pair = D == 2
 
     def on_arrival(t):
         nonlocal n_arr
         zeta = draw()
+        if pair:    # both checks inline: the hot path of long runs
+            a, b = zeta
+            if due[a] <= t:
+                advance(a, t)
+            if due[b] <= t:
+                advance(b, t)
+        else:
+            for s in zeta:
+                if due[s] <= t:
+                    advance(s, t)
         s = route(lengths, zeta, unext)
         arrive(s, t, snext())
         n_arr += 1
@@ -377,7 +386,9 @@ def run(N, D, lam, dist: ServiceDistribution, disc: Discipline,
             arrivals.append(ArrivalEvent(t, zeta, s))
 
     traj, = _drive(sysm, horizon, sample_times, [(0, N)], lam * N, enext,
-                   on_arrival, departures)
+                   on_arrival)
+    if departures is not None:
+        departures.sort()    # each server logged its own as it was advanced
     log = EventLog(horizon=float(horizon), N=N, arrivals=arrivals,
                    departures=departures, n_arrivals=n_arr)
     return traj, log

@@ -5,9 +5,8 @@ import pytest
 
 from podd.core import (Configuration, FIFO, LIFO_PR, PS, RngStream,
                        ServiceDistribution, tail_counts_from_lengths)
-from heapq import heappop, heappush
-
-from podd import engine
+from podd import cavity, engine
+from podd.cavity import run_cavity, run_coupled
 from podd.engine import _CHUNK, run, snapshot, _draws, _route, _System
 from podd.rates import arrival_rate_closed
 
@@ -74,55 +73,63 @@ class TestDepartureTiming:
     # one server, two jobs with residuals 0.4 and 1.0 queued at time 0
 
     def _loaded(self, disc):
-        s = _System(1, disc)
+        s = _System(1, disc, log=[])
         s.arrive(0, 0.0, 0.4)
         s.arrive(0, 0.0, 1.0)
         return s
 
+    @staticmethod
+    def _times(s):
+        return [t for t, _ in s.log]
+
     def test_fifo(self):
         s = self._loaded(FIFO)
-        assert s.depart()[0] == pytest.approx(0.4)
-        assert s.depart()[0] == pytest.approx(1.4)
+        s.advance(0, 1.0)     # applies the first departure only
+        assert self._times(s) == pytest.approx([0.4])
+        assert s.lengths == [1] and s.due[0] == pytest.approx(1.4)
+        s.advance(0, 100.0)
+        assert self._times(s) == pytest.approx([0.4, 1.4])
 
     def test_ps(self):
         s = self._loaded(PS)
+        s.advance(0, 100.0)
         # min residual times the number in service
-        assert s.depart()[0] == pytest.approx(0.8)
-        assert s.depart()[0] == pytest.approx(1.4)
+        assert self._times(s) == pytest.approx([0.8, 1.4])
 
     def test_lifo_preempts(self):
         s = self._loaded(LIFO_PR)
-        assert s.depart()[0] == pytest.approx(1.0)
-        assert s.depart()[0] == pytest.approx(1.4)
+        s.advance(0, 100.0)
+        assert self._times(s) == pytest.approx([1.0, 1.4])
 
     # job A (residual 1.0) from time 0, then job B (0.5) arrives at 0.4
 
     def _departures_with_arrival_during_service(self, disc):
-        s = _System(1, disc)
+        s = _System(1, disc, log=[])
         s.arrive(0, 0.0, 1.0)
+        s.advance(0, 0.4)     # nothing is due by then
         s.arrive(0, 0.4, 0.5)
-        times = [s.depart()[0] for _ in range(2)]
-        # entries left on the heap are stale: nothing more is scheduled
-        return times, [e for e in s.heap if e[2] == s.ver[e[1]]]
+        s.advance(0, 100.0)
+        # the server is idle: nothing more is due
+        return self._times(s), s.due[0]
 
     def test_fifo_arrival_during_service(self):
         # A keeps the server: A at 1.0, then B at 1.0 + 0.5
-        times, live = self._departures_with_arrival_during_service(FIFO)
+        times, due = self._departures_with_arrival_during_service(FIFO)
         assert times == pytest.approx([1.0, 1.5])
-        assert live == []
+        assert due == math.inf
 
     def test_ps_arrival_during_service(self):
         # A has 0.6 left at 0.4; both served at rate 1/2, so B (0.5) ends at
         # 0.4 + 2 * 0.5 = 1.4 with A at 0.1, which then ends alone at 1.5
-        times, live = self._departures_with_arrival_during_service(PS)
+        times, due = self._departures_with_arrival_during_service(PS)
         assert times == pytest.approx([1.4, 1.5])
-        assert live == []
+        assert due == math.inf
 
     def test_lifo_arrival_during_service(self):
         # B preempts A (0.6 left) and ends at 0.9; A resumes and ends at 1.5
-        times, live = self._departures_with_arrival_during_service(LIFO_PR)
+        times, due = self._departures_with_arrival_during_service(LIFO_PR)
         assert times == pytest.approx([0.9, 1.5])
-        assert live == []
+        assert due == math.inf
 
     def test_ps_three_staggered_arrivals(self):
         # A (1.0) at 0; B (0.75) at 0.5, when A has 0.5 left; C (0.25) at
@@ -130,13 +137,14 @@ class TestDepartureTiming:
         # ends at 0.75 + 3 * 0.25 = 1.5 with A at 0.125 and B at 0.375; A
         # then ends at 1.5 + 2 * 0.125 = 1.75, and B alone at 2.0.  Every
         # value is dyadic, so the times are exact.
-        s = _System(1, PS)
-        s.arrive(0, 0.0, 1.0)
-        s.arrive(0, 0.5, 0.75)
-        s.arrive(0, 0.75, 0.25)
-        assert [s.depart() for _ in range(3)] == [(1.5, 0), (1.75, 0),
-                                                  (2.0, 0)]
-        assert s.vt == [0.0] and s.heap == []   # the clock reset when empty
+        s = _System(1, PS, log=[])
+        for t, residual in ((0.0, 1.0), (0.5, 0.75), (0.75, 0.25)):
+            s.advance(0, t)
+            s.arrive(0, t, residual)
+        s.advance(0, 2.0)     # a departure due at 2.0 is applied
+        assert s.log == [(1.5, 0), (1.75, 0), (2.0, 0)]
+        # the clock reset when the server emptied
+        assert s.vt == [0.0] and s.due == [math.inf]
 
     def test_nonpositive_residual_rejected(self):
         for residual in (0.0, -1.0):
@@ -147,8 +155,7 @@ class TestDepartureTiming:
 class _ResidualPs(_System):
     """Reference PS kernel: every job's residual is advanced by dt / n
     whenever the share changes, and the next departure is the least residual
-    times n.  It drops stale heap entries off the top, as every kernel must
-    for `_drive`."""
+    times n."""
 
     __slots__ = ()
 
@@ -159,10 +166,11 @@ class _ResidualPs(_System):
         js = self.jobs[s]
         if js:
             due = len(js) * min(js)
-            heappush(self.heap,
-                     (t + (due if due > 0.0 else 0.0), s, self.ver[s]))
+            self.due[s] = t + (due if due > 0.0 else 0.0)
+        else:
+            self.due[s] = math.inf
 
-    def _advance(self, s, t):
+    def _serve(self, s, t):
         js = self.jobs[s]
         dt = t - self.last[s]
         self.last[s] = t
@@ -171,27 +179,20 @@ class _ResidualPs(_System):
             self.jobs[s] = js = [r - dec for r in js]
         return js
 
-    def _drop_stale(self):
-        heap, ver = self.heap, self.ver
-        while heap and heap[0][2] != ver[heap[0][1]]:
-            heappop(heap)
-
     def arrive(self, s, t, residual):
-        self._advance(s, t).append(residual)
+        self._serve(s, t).append(residual)
         self.lengths[s] += 1
-        self.ver[s] += 1
         self._schedule(s, t)
-        self._drop_stale()
 
-    def depart(self):
-        t, s, _ = heappop(self.heap)
-        js = self._advance(s, t)
-        js.pop(js.index(min(js)))
-        self.lengths[s] -= 1
-        self.ver[s] += 1
-        self._schedule(s, t)
-        self._drop_stale()
-        return t, s
+    def advance(self, s, t):
+        while self.due[s] <= t:
+            d = self.due[s]
+            js = self._serve(s, d)
+            js.pop(js.index(min(js)))
+            self.lengths[s] -= 1
+            if self.log is not None:
+                self.log.append((d, s))
+            self._schedule(s, d)
 
 
 class TestPsClock:
@@ -229,47 +230,171 @@ class TestPsClock:
         assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) < 1e-12
 
 
-class TestLiveHeapTop:
-    # `_drive` reads the heap top as the next departure without a check
+class TestAdvance:
+    """`advance(s, t)` leaves server s exact at t: nothing due by t, nothing
+    due when it is idle, and one length per job."""
 
     @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
                              ids=lambda disc: disc.kind)
-    def test_top_is_live_after_every_event(self, disc):
+    def test_state_after_every_advance(self, disc):
         gen = RngStream(9).child(disc.kind).generator()
         queues = config_from_lengths([2, 0, 3, 1], 9).queues
         self._run_checked(_System(4, disc, queues), gen, gen.exponential)
 
     @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
                              ids=lambda disc: disc.kind)
-    def test_top_is_live_with_tied_loaded_finish_times(self, disc):
-        # unit jobs: every server's first job would finish at 1.0, so under
-        # PS and LIFO_PR the schedules that a server's later jobs make stale
-        # stay under server 0's live entry at the top
+    def test_state_with_tied_loaded_finish_times(self, disc):
+        # unit jobs: every server's first job would finish at 1.0, and under
+        # PS its later jobs finish at once with it or at whole times
         gen = RngStream(10).child(disc.kind).generator()
         sysm = _System(4, disc, [[1.0] * n for n in (1, 2, 3, 2)])
-        stale = [e for e in sysm.heap if e[2] != sysm.ver[e[1]]]
-        assert bool(stale) == (disc is not FIFO)
         self._run_checked(sysm, gen, lambda: 1.0)
 
     def _run_checked(self, sysm, gen, residual):
-        """Check the top right after loading, then after each of the
-        departures and 400 arrivals on random servers."""
-        self._check(sysm)
+        """Advance and check a random server before each of 400 arrivals on
+        random servers, and every server at the end."""
         n = len(sysm.lengths)
         t = 0.0
         for _ in range(400):
             t += gen.exponential(0.3)
-            while sysm.heap and sysm.heap[0][0] <= t:
-                sysm.depart()
-                self._check(sysm)
-            sysm.arrive(int(gen.integers(n)), t, residual())
-            self._check(sysm)
+            s = int(gen.integers(n))
+            sysm.advance(s, t)
+            self._check(sysm, s, t)
+            s = int(gen.integers(n))
+            sysm.advance(s, t)
+            sysm.arrive(s, t, residual())
+        for s in range(n):
+            sysm.advance(s, t + 5.0)
+            self._check(sysm, s, t + 5.0)
 
     @staticmethod
-    def _check(sysm):
-        if sysm.heap:
-            _, s, v = sysm.heap[0]
-            assert v == sysm.ver[s] and sysm.lengths[s] > 0
+    def _check(sysm, s, t):
+        assert sysm.due[s] > t
+        assert (sysm.due[s] == math.inf) == (sysm.lengths[s] == 0)
+        assert sysm.lengths[s] == len(sysm.jobs[s])
+
+
+def _eager(drive):
+    """`_drive` with every server advanced to each arrival's time before
+    the arrival is handed on, as a departure heap would have it."""
+    def eager_drive(sysm, horizon, sample_times, views, rate, enext,
+                    on_arrival):
+        def every_server_first(t):
+            for s in range(len(sysm.due)):
+                sysm.advance(s, t)
+            on_arrival(t)
+        return drive(sysm, horizon, sample_times, views, rate, enext,
+                     every_server_first)
+    return eager_drive
+
+
+def _canon_traj(traj):
+    return (traj.times.tolist(), [tc.pi for tc in traj.snapshots],
+            traj.final_lengths.tolist())
+
+
+class TestLazyMatchesEager:
+    """Departures applied only where something reads a server give the same
+    run as departures applied on every server at every arrival."""
+
+    def _both(self, monkeypatch, make):
+        lazy = make()
+        monkeypatch.setattr(engine, "_drive", _eager(engine._drive))
+        monkeypatch.setattr(cavity, "_drive", _eager(cavity._drive))
+        return lazy, make()
+
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
+                             ids=lambda disc: disc.kind)
+    @pytest.mark.parametrize("n,d,dist", [(30, 2, HYP), (12, 3, DET)],
+                             ids=["d2-hyperexp", "d3-det"])
+    def test_run(self, monkeypatch, disc, n, d, dist):
+        init = Configuration.from_lengths([2] * n, dist, RngStream(20))
+        (a_t, a_l), (b_t, b_l) = self._both(monkeypatch, lambda: run(
+            n, d, 0.9, dist, disc, init, 30.0, np.linspace(0.0, 30.0, 16),
+            RngStream(21).child(disc.kind), record_departures=True))
+        assert len(a_l.departures) > 300
+        assert a_l.departures == b_l.departures
+        assert _canon_traj(a_t) == _canon_traj(b_t)
+
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
+                             ids=lambda disc: disc.kind)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_run_coupled(self, monkeypatch, disc, d):
+        init = Configuration.from_lengths([2] * 20, ERL4, RngStream(22))
+        a, b = self._both(monkeypatch, lambda: run_coupled(
+            20, d, 0.9, ERL4, disc, init, 20.0, RngStream(23).child(disc.kind),
+            sample_times=np.linspace(0.0, 20.0, 11)))
+        assert (a.counts, a.tagged_hits) == (b.counts, b.tagged_hits)
+        assert _canon_traj(a.traj_small) == _canon_traj(b.traj_small)
+        assert _canon_traj(a.traj_large) == _canon_traj(b.traj_large)
+
+    @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR],
+                             ids=lambda disc: disc.kind)
+    def test_run_cavity(self, monkeypatch, disc):
+        a, b = self._both(monkeypatch, lambda: run_cavity(
+            2, 0.9, HYP, disc, 200.0, RngStream(24).child(disc.kind),
+            sample_times=np.linspace(0.0, 200.0, 41)))
+        assert len({tuple(tc.pi) for tc in a.snapshots}) > 3
+        assert _canon_traj(a) == _canon_traj(b)
+
+
+class TestTies:
+    """Deterministic service makes departure times exact, so ties between a
+    sample time, an arrival and a departure can be built on purpose."""
+
+    @staticmethod
+    def _lengths_at(init, log, t, inclusive=True):
+        """Queue lengths rebuilt from the logs: every arrival and departure
+        at or before t (before t when not `inclusive`)."""
+        seen = (lambda e: e <= t) if inclusive else (lambda e: e < t)
+        lengths = init.lengths()
+        for ev in log.arrivals:
+            if seen(ev.time):
+                lengths[ev.routed_to] += 1
+        for e, s in log.departures:
+            if seen(e):
+                lengths[s] -= 1
+        return tail_counts_from_lengths(lengths, max(max(lengths), 1)).pi
+
+    def test_sample_at_a_departure_sees_it(self):
+        # unit jobs two deep everywhere: FIFO heads leave at exactly 1 and 2
+        init = Configuration.from_lengths([2] * 8, DET, RngStream(30))
+        traj, log = run(8, 2, 0.5, DET, FIFO, init, 3.0, [1.0, 2.0],
+                        RngStream(31), record_departures=True)
+        for t in (1.0, 2.0):
+            assert (t, 0) in log.departures
+            got = snapshot(traj, t).pi
+            assert got == self._lengths_at(init, log, t)
+            assert got != self._lengths_at(init, log, t, inclusive=False)
+
+    def test_sample_at_an_arrival_sees_it(self):
+        # the sample times draw nothing, so a second run has the first
+        # run's arrival epochs
+        init = Configuration.from_lengths([1] * 8, DET, RngStream(32))
+        args = (8, 2, 0.5, DET, PS, init, 3.0)
+        _, first = run(*args, [], RngStream(33))
+        t = first.arrivals[len(first.arrivals) // 2].time
+        traj, log = run(*args, [t], RngStream(33), record_departures=True)
+        assert [e.time for e in log.arrivals] == [
+            e.time for e in first.arrivals]
+        got = snapshot(traj, t).pi
+        assert got == self._lengths_at(init, log, t)
+        assert got != self._lengths_at(init, log, t, inclusive=False)
+
+    def test_departure_before_a_tied_arrival_on_its_server(self):
+        # one server, and a first job whose residual is the first arrival's
+        # epoch: it leaves at that epoch.  Under LIFO_PR an arrival applied
+        # first would preempt it, with nothing left to serve, until the new
+        # job ends.
+        args = (1, 1, 0.5, DET, LIFO_PR)
+        _, first = run(*args, Configuration.empty(1), 10.0, [], RngStream(34))
+        t = first.arrivals[0].time
+        init = Configuration([[t]])
+        _, log = run(*args, init, 10.0, [], RngStream(34),
+                     record_departures=True)
+        assert log.arrivals[0].time == t
+        assert log.departures[0] == (t, 0)
+        assert log.departures[1][0] > t
 
 
 class TestRun:
@@ -315,16 +440,25 @@ class TestRun:
         assert all(ev.routed_to in ev.zeta for ev in log.arrivals)
 
     def test_work_conservation_deterministic(self):
-        # unit jobs: work injected = arrivals, drained at rate 1 per busy
-        # server, so remaining work plus drained time equals arrivals
+        # unit jobs under FIFO: a work-conserving server starts each job at
+        # its arrival or at the last departure, whichever is later, and ends
+        # it one unit on, so each server's k-th departure is at
+        # max(d_{k-1}, a_k) + 1 exactly, a_k its k-th arrival (Lindley).
+        # No sample times: the horizon alone applies the last departures.
         n, horizon = 5, 3.0
         traj, log = run(n, 2, 0.5, DET, FIFO, Configuration.empty(n), horizon,
-                        [horizon], RngStream(6).child("wc"),
-                        record_departures=True)
-        sysm_busy = len(log.departures) * 1.0  # each departure drains 1 unit
-        # remaining residual work is arrivals minus drained
-        final_jobs = sum(traj.final_lengths)
-        assert final_jobs == log.n_arrivals - len(log.departures)
+                        [], RngStream(6).child("wc"), record_departures=True)
+        for s in range(n):
+            arrived = [e.time for e in log.arrivals if e.routed_to == s]
+            departed = [t for t, srv in log.departures if srv == s]
+            want, d = [], 0.0
+            for a in arrived:
+                d = max(d, a) + 1.0
+                if d <= horizon:
+                    want.append(d)
+            assert departed == want
+        assert len(log.departures) > 0
+        assert sum(traj.final_lengths) == log.n_arrivals - len(log.departures)
 
     @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR])
     @pytest.mark.parametrize("wrap", [tuple, np.array])
