@@ -326,7 +326,8 @@ def _drive(sysm, horizon, sample_times, views, rate, enext, on_arrival):
         on_arrival(t)
         t += enext() / rate
 
-    advance_all(horizon)
+    if len(samples) == 1 or samples[-2] < horizon:
+        advance_all(horizon)    # else the sample at the horizon did it
     return [Trajectory(times, snaps, np.asarray(lengths[lo:hi], dtype=int))
             for lo, hi, snaps in kept]
 

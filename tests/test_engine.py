@@ -444,21 +444,25 @@ class TestRun:
         # its arrival or at the last departure, whichever is later, and ends
         # it one unit on, so each server's k-th departure is at
         # max(d_{k-1}, a_k) + 1 exactly, a_k its k-th arrival (Lindley).
-        # No sample times: the horizon alone applies the last departures.
+        # No sample time, or none at the horizon: the horizon alone applies
+        # the last departures.
         n, horizon = 5, 3.0
-        traj, log = run(n, 2, 0.5, DET, FIFO, Configuration.empty(n), horizon,
-                        [], RngStream(6).child("wc"), record_departures=True)
-        for s in range(n):
-            arrived = [e.time for e in log.arrivals if e.routed_to == s]
-            departed = [t for t, srv in log.departures if srv == s]
-            want, d = [], 0.0
-            for a in arrived:
-                d = max(d, a) + 1.0
-                if d <= horizon:
-                    want.append(d)
-            assert departed == want
-        assert len(log.departures) > 0
-        assert sum(traj.final_lengths) == log.n_arrivals - len(log.departures)
+        for times in ([], [1.5]):
+            traj, log = run(n, 2, 0.5, DET, FIFO, Configuration.empty(n),
+                            horizon, times, RngStream(6).child("wc"),
+                            record_departures=True)
+            for s in range(n):
+                arrived = [e.time for e in log.arrivals if e.routed_to == s]
+                departed = [t for t, srv in log.departures if srv == s]
+                want, d = [], 0.0
+                for a in arrived:
+                    d = max(d, a) + 1.0
+                    if d <= horizon:
+                        want.append(d)
+                assert departed == want
+            assert len(log.departures) > 0
+            assert (sum(traj.final_lengths)
+                    == log.n_arrivals - len(log.departures))
 
     @pytest.mark.parametrize("disc", [FIFO, PS, LIFO_PR])
     @pytest.mark.parametrize("wrap", [tuple, np.array])
